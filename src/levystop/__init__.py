@@ -7,7 +7,7 @@ drops to a level B_c.  Modules:
 
 * ``models``      parametric families, Laplace exponents, assumptions
 * ``roots``       real roots of psi(beta) = r
-* ``scale``       q-scale functions via numerical Laplace inversion
+* ``scale``       q-scale functions in residue form
 * ``transforms``  discounted first-passage transforms L and G
 * ``engine``      thresholds, value functions, epsilon-regions
 * ``mc``          Monte Carlo cross-checks for every closed form

@@ -3,8 +3,8 @@
 Commands: inspect, threshold, value, sweep, scale-fn, simulate.  Outputs
 are deterministic given the seed and carry no timestamps, so identical
 invocations produce byte-identical files.  Exit codes: 0 success, 1 input
-error, 2 assumption violation, 3 numerical-quality failure (root or
-inversion residuals, or a scale-function accuracy warning under --strict).
+error, 2 assumption violation, 3 numerical failure (a characteristic root
+that cannot be bracketed in floating point, or fails its residual check).
 """
 
 from __future__ import annotations
@@ -21,14 +21,10 @@ import numpy as np
 from .engine import threshold, value_function
 from .mc import SimConfig, policy_value, sweep
 from .models import (AssumptionError, LevyModel, ProblemSpec,
-                     assumption_report, model_from_dict, phi, psi1,
+                     assumption_report, has_phi, model_from_dict, phi, psi1,
                      spec_from_dict)
 from .roots import kou_roots
 from .scale import ScaleFunction
-from .transforms import HittingTransforms
-
-_ROOT_FAMILIES = ("kou", "expjd", "spectneg_kou")
-_PHI_FAMILIES = ("brownian", "spectneg_kou")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,10 +113,9 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     doc = {
         "family": model.family,
         "psi1": psi1(model),
-        "phi_r": (phi(model, spec.r) if model.family in _PHI_FAMILIES
-                  else None),
+        "phi_r": phi(model, spec.r) if has_phi(model) else None,
         "roots": (list(kou_roots(model, spec.r).ordered())
-                  if model.family in _ROOT_FAMILIES else None),
+                  if model.poles else None),
         "assumptions": {
             "finite_mean": report.finite_mean,
             "discounting": report.discounting,
@@ -143,12 +138,7 @@ def cmd_value(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid)
     if np.any(grid <= 0):
         raise ValueError("v grid must be strictly positive")
-    transforms = HittingTransforms(spec.model, spec.r)
-    if args.strict and transforms.scale_status != "ok":
-        raise ArithmeticError("scale-function self-check reported "
-                              f"{transforms.scale_status!r}")
-    vf = value_function(spec)
-    w = vf(grid)
+    w = value_function(spec)(grid)
     _emit_csv(["v", "w"], list(zip(grid, w)), args.out)
     return 0
 
@@ -174,9 +164,6 @@ def cmd_scale_fn(args: argparse.Namespace) -> int:
     if np.any(grid < 0):
         raise ValueError("x grid must be nonnegative")
     sf = ScaleFunction(model, args.q, x_max=max(float(grid[-1]), 1.0))
-    if args.strict and sf.status != "ok":
-        raise ArithmeticError("scale-function self-check reported "
-                              f"{sf.status!r}")
     rows = [[x, sf.W(x), sf.Wprime(x), sf.Z(x)] for x in grid]
     _emit_csv(["x", "W", "Wprime", "Z"], rows, args.out)
     return 0
@@ -212,8 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="path to a JSON problem spec")
         p.add_argument("--out", default=None,
                        help="output file (default stdout)")
-        p.add_argument("--strict", action="store_true",
-                       help="escalate numerical-quality warnings to exit 3")
         if sim:
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--paths", type=int, default=20000)

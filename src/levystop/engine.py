@@ -21,13 +21,10 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .models import (BrownianDrift, ExpJD, KouJD, LevyModel, NegPoisson,
-                     ProblemSpec, SpectNegKou, phi, psi1)
-from .roots import emery_root, kou_roots
-from .transforms import (HittingTransforms, brownian_passage_rate,
-                         candidate_value)
+from .models import ProblemSpec, has_phi
+from .roots import bracketed_root
+from .transforms import HittingTransforms, candidate_value
 
 __all__ = ["ConvexityReport", "ThresholdResult", "ValueFunction",
            "convexity_report", "epsilon_region", "threshold",
@@ -45,9 +42,11 @@ class ThresholdResult:
 
     ``slope_ratio`` is lim_{x->0-} (1 - L(x)) / (1 - G(x)): a derivative
     ratio in the G-continuous regime, a jump ratio otherwise.  ``psi_one``
-    is the exponent value psi(1) (not a characteristic root).  ``roots``
-    records the characteristic roots the closed form consumed, ascending;
-    families whose formula runs off phi(r) alone leave it None.
+    is the exponent value psi(1) (not a characteristic root).  Spectrally
+    negative families report phi(r), the largest root of psi = r, as
+    ``phi_r``.  Families with upward jumps have no phi(r) and list roots
+    instead, ascending: all four for the two-sided family, the single
+    negative root -lam_bar for the one-sided one.  The counter has neither.
     """
 
     b_c: float
@@ -72,45 +71,36 @@ class ThresholdResult:
 def threshold(spec: ProblemSpec) -> ThresholdResult:
     """Optimal liquidation level B_c for ``spec``.
 
-    Pure closed forms: root finding on scalars only, no scale-function
-    tables, so this is cheap enough to call in tight loops.
+    Pure closed forms: root finding on scalars only, no tables, so this is
+    cheap enough to call in tight loops.
     """
+    return _threshold(spec, HittingTransforms(spec.model, spec.r))
+
+
+def _threshold(spec: ProblemSpec,
+               transforms: HittingTransforms) -> ThresholdResult:
+    """B_c = b_upper * slope_ratio, reported with the roots behind it."""
     model = spec.model
-    r = spec.r
-    growth = spec.psi1
     bound = spec.b_upper
-    phi_r: Optional[float] = None
-    roots_used: Optional[tuple] = None
-    regime = G_CONTINUOUS
-    if isinstance(model, BrownianDrift):
-        rate = brownian_passage_rate(model.m, model.sigma, r)
-        ratio = rate / (rate + 1.0)
-        phi_r = phi(model, r)
-    elif isinstance(model, KouJD):
-        kr = kou_roots(model, r)
-        ratio = (kr.psi2 * kr.psi3 * (model.eta2 + 1.0)
-                 / (model.eta2 * (1.0 - kr.psi2) * (1.0 - kr.psi3)))
-        roots_used = kr.ordered()
-    elif isinstance(model, ExpJD):
-        lam_bar = emery_root(model, r).lam_bar
-        ratio = lam_bar / (lam_bar + 1.0)
-        roots_used = (-lam_bar,)
-    elif isinstance(model, NegPoisson):
-        regime = G_DISCONTINUOUS
-        gamma_lap = model.a / (r + model.a)
-        gamma_joint = gamma_lap / math.e
-        ratio = (1.0 - gamma_lap) / (1.0 - gamma_joint)
-    elif isinstance(model, SpectNegKou):
-        phi_r = phi(model, r)
-        ratio = r * (phi_r - 1.0) / (phi_r * (r - growth))
-    else:
-        raise TypeError(f"cannot detect threshold regime for {model!r}")
+    ratio = transforms.slope_ratio
     b_c = bound * ratio
     if not 0.0 < b_c < bound:
         raise ArithmeticError(f"threshold {b_c} escaped (0, {bound})")
-    return ThresholdResult(b_c=b_c, regime=regime, slope_ratio=ratio,
-                           psi_one=growth, phi_r=phi_r, roots=roots_used,
-                           b_upper=bound)
+    roots = transforms.roots
+    neg = tuple(beta for beta in roots if beta < 0)
+    phi_r: Optional[float] = None
+    roots_used: Optional[tuple] = None
+    if has_phi(model):
+        phi_r = roots[-1]
+    elif len(neg) == 1:
+        roots_used = neg
+    elif roots:
+        roots_used = roots
+    return ThresholdResult(
+        b_c=b_c,
+        regime=G_CONTINUOUS if model.diffusive else G_DISCONTINUOUS,
+        slope_ratio=ratio, psi_one=spec.psi1, phi_r=phi_r, roots=roots_used,
+        b_upper=bound)
 
 
 class ValueFunction:
@@ -152,10 +142,11 @@ class ValueFunction:
 
 def value_function(spec: ProblemSpec,
                    result: Optional[ThresholdResult] = None) -> ValueFunction:
-    """Build the value-function evaluator (one transform table, reused)."""
+    """Build the value-function evaluator on one set of transforms."""
+    transforms = HittingTransforms(spec.model, spec.r)
     if result is None:
-        result = threshold(spec)
-    return ValueFunction(spec, result, HittingTransforms(spec.model, spec.r))
+        result = _threshold(spec, transforms)
+    return ValueFunction(spec, result, transforms)
 
 
 @dataclass(frozen=True)
@@ -195,20 +186,17 @@ def convexity_report(spec: ProblemSpec,
     """
     if on_failure not in ("raise", "report"):
         raise ValueError("on_failure must be 'raise' or 'report'")
-    if result is None:
-        result = threshold(spec)
-    if result.regime != G_CONTINUOUS:
+    vf = value_function(spec, result)
+    if vf.result.regime != G_CONTINUOUS:
         raise ValueError("convexity diagnostics apply to the G-continuous "
-                         f"regime; {spec.model.family} is {result.regime}")
-    transforms = HittingTransforms(spec.model, spec.r)
-    b_c = result.b_c
-    grid = np.linspace(b_c, span * b_c, n_grid + 1)[1:]
-    g_vals = candidate_value(spec, b_c, grid, transforms)
+                         f"regime; {spec.model.family} is {vf.result.regime}")
+    b_c = vf.b_c
+    g_vals = vf.s(np.linspace(b_c, span * b_c, n_grid + 1)[1:])
     second = g_vals[2:] - 2.0 * g_vals[1:-1] + g_vals[:-2]
     min_second = float(np.min(second))
 
     h = 1e-5 * b_c
-    stencil = candidate_value(spec, b_c, b_c + h * np.arange(5), transforms)
+    stencil = vf.s(b_c + h * np.arange(5))
     slope = float(np.dot([-25.0, 48.0, -36.0, 16.0, -3.0], stencil)) / (12 * h)
     f_slope = -spec.alpha / (spec.r - spec.psi1)
     gap = abs(slope - f_slope)
@@ -231,10 +219,10 @@ def epsilon_region(spec: ProblemSpec, result: Optional[ThresholdResult],
 
     The rule "stop once V enters (0, b(eps)]" costs at most eps in expected
     value.  w is continuous, zero up to B_c and strictly increasing past it,
-    so b(eps) is the unique root of w = eps beyond B_c, found by bracketed
-    bisection.  Returns +inf if eps exceeds the whole range of w (cannot
-    happen here, where w grows without bound, but the sentinel keeps the
-    contract total).
+    so b(eps) is the unique root of w = eps beyond B_c, found by the
+    bracketed Newton-bisection of ``roots`` with secant slopes.  Returns
+    +inf if eps exceeds the whole range of w (cannot happen here, where w
+    grows without bound, but the sentinel keeps the contract total).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -248,4 +236,4 @@ def epsilon_region(spec: ProblemSpec, result: Optional[ThresholdResult],
         hi *= 2.0
     else:
         return math.inf
-    return brentq(lambda v: vf(v) - eps, b_c, hi, xtol=1e-15, rtol=8.9e-16)
+    return bracketed_root(lambda v: vf(v) - eps, b_c, hi)

@@ -25,14 +25,13 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .engine import ThresholdResult, epsilon_region, value_function
-from .models import (BrownianDrift, ExpJD, KouJD, LevyModel, NegPoisson,
-                     ProblemSpec, SpectNegKou, psi1)
+from .models import LevyModel, ProblemSpec, psi1
 
 __all__ = [
     "ClassDResult",
@@ -128,30 +127,17 @@ class _Dynamics:
     even when the mirror image is not a constructible model family.
     """
 
-    m: float
-    sigma: float
-    a: float
     kind: str
+    m: float = 0.0
+    sigma: float = 0.0
+    a: float = 0.0
     p: float = 0.0
     eta1: float = 1.0
     eta2: float = 1.0
 
     @staticmethod
     def from_model(model: LevyModel) -> "_Dynamics":
-        if isinstance(model, BrownianDrift):
-            return _Dynamics(model.m, model.sigma, 0.0, "none")
-        if isinstance(model, KouJD):
-            return _Dynamics(model.m, model.sigma, model.a, "two",
-                             p=model.p, eta1=model.eta1, eta2=model.eta2)
-        if isinstance(model, ExpJD):
-            return _Dynamics(model.m, model.sigma, model.a, "up",
-                             eta1=model.eta1)
-        if isinstance(model, NegPoisson):
-            return _Dynamics(0.0, 0.0, model.a, "unit_down")
-        if isinstance(model, SpectNegKou):
-            return _Dynamics(model.m, model.sigma, model.a, "down",
-                             eta2=model.eta2)
-        raise TypeError(f"not a Levy model: {model!r}")
+        return _Dynamics(kind=model.jump_kind, **asdict(model))
 
     def mirrored(self, drift: float) -> "_Dynamics":
         """Dynamics of Y_t = drift * t - X_t (up and down jumps swap)."""

@@ -12,8 +12,14 @@ Levy model for the asset log-price X:
 * ``SpectNegKou``    -- the one-sided Kou variant with downward jumps only
 
 The Laplace exponent ``psi`` satisfies E[exp(lam X_t)] = exp(t psi(lam)).
+Each class is the one definition of its family that every other module
+reads: ``exponent``/``exponent_prime`` (psi and psi' for real, array or
+complex arguments, continued through the poles with no domain checks),
+``poles`` (ascending: -eta2 for downward jumps, eta1 for upward ones),
+``diffusive`` (has a Brownian part), ``jump_kind`` (the jump-size law the
+simulator draws, from the parameters as named here) and ``class_d_note``.
 Everything downstream (characteristic roots, hitting transforms, thresholds)
-is driven by ``psi`` and the standing assumptions collected in
+is driven by these and the standing assumptions collected in
 ``assumption_report``:
 
 * finite expected exponential jump (eta1 > 1, enforced at construction),
@@ -23,12 +29,12 @@ is driven by ``psi`` and the standing assumptions collected in
 
 from __future__ import annotations
 
-import math
-from dataclasses import asdict, dataclass, fields
-from typing import ClassVar, Union
+from dataclasses import asdict, dataclass, field, fields
+from typing import ClassVar, Tuple, Union
 
 import numpy as np
-from scipy.optimize import brentq
+
+from .roots import real_roots
 
 __all__ = [
     "AssumptionError",
@@ -42,6 +48,7 @@ __all__ = [
     "SpectNegKou",
     "assumption_report",
     "check_assumptions",
+    "has_phi",
     "model_from_dict",
     "model_to_dict",
     "phi",
@@ -69,9 +76,21 @@ class BrownianDrift:
     sigma: float
 
     family: ClassVar[str] = "brownian"
+    jump_kind: ClassVar[str] = "none"
+    diffusive: ClassVar[bool] = True
+    poles: ClassVar[Tuple[float, ...]] = ()
+    class_d_note: ClassVar[str] = (
+        "discounted-excursion bound decays like n**(1 - 2r/sigma^2 "
+        "adjusted rate); holds whenever r > psi(1)")
 
     def __post_init__(self) -> None:
         _require(self.sigma > 0, "sigma must be positive")
+
+    def exponent(self, z):
+        return self.m * z + 0.5 * self.sigma**2 * z * z
+
+    def exponent_prime(self, z):
+        return self.m + self.sigma**2 * z
 
 
 @dataclass(frozen=True)
@@ -92,6 +111,11 @@ class KouJD:
     eta2: float
 
     family: ClassVar[str] = "kou"
+    jump_kind: ClassVar[str] = "two"
+    diffusive: ClassVar[bool] = True
+    class_d_note: ClassVar[str] = (
+        "smallest positive characteristic root exceeds 1 under r > psi(1), "
+        "so the upward-passage bound decays like a negative power")
 
     def __post_init__(self) -> None:
         _require(self.sigma > 0, "sigma must be positive")
@@ -106,6 +130,20 @@ class KouJD:
     def q(self) -> float:
         return 1.0 - self.p
 
+    @property
+    def poles(self) -> Tuple[float, ...]:
+        return (-self.eta2, self.eta1)
+
+    def exponent(self, z):
+        return (self.m * z + 0.5 * self.sigma**2 * z * z
+                + self.a * (self.eta1 * self.p / (self.eta1 - z)
+                            + self.eta2 * self.q / (self.eta2 + z) - 1.0))
+
+    def exponent_prime(self, z):
+        return (self.m + self.sigma**2 * z
+                + self.a * (self.eta1 * self.p / (self.eta1 - z) ** 2
+                            - self.eta2 * self.q / (self.eta2 + z) ** 2))
+
 
 @dataclass(frozen=True)
 class ExpJD:
@@ -117,11 +155,27 @@ class ExpJD:
     eta1: float
 
     family: ClassVar[str] = "expjd"
+    jump_kind: ClassVar[str] = "up"
+    diffusive: ClassVar[bool] = True
+    class_d_note: ClassVar[str] = (
+        "same positive-root argument as the two-sided jump diffusion")
 
     def __post_init__(self) -> None:
         _require(self.sigma > 0, "sigma must be positive")
         _require(self.a > 0, "jump intensity a must be positive")
         _require(self.eta1 > 1, "eta1 must exceed 1 so E[exp(X_t)] is finite")
+
+    @property
+    def poles(self) -> Tuple[float, ...]:
+        return (self.eta1,)
+
+    def exponent(self, z):
+        return (self.m * z + 0.5 * self.sigma**2 * z * z
+                + self.a * z / (self.eta1 - z))
+
+    def exponent_prime(self, z):
+        return (self.m + self.sigma**2 * z
+                + self.a * self.eta1 / (self.eta1 - z) ** 2)
 
 
 @dataclass(frozen=True)
@@ -131,9 +185,21 @@ class NegPoisson:
     a: float
 
     family: ClassVar[str] = "neg_poisson"
+    jump_kind: ClassVar[str] = "unit_down"
+    diffusive: ClassVar[bool] = False
+    poles: ClassVar[Tuple[float, ...]] = ()
+    class_d_note: ClassVar[str] = (
+        "paths are non-increasing, so the discounted payoff process is "
+        "bounded")
 
     def __post_init__(self) -> None:
         _require(self.a > 0, "jump intensity a must be positive")
+
+    def exponent(self, z):
+        return self.a * (np.exp(-z) - 1.0)
+
+    def exponent_prime(self, z):
+        return -self.a * np.exp(-z)
 
 
 @dataclass(frozen=True)
@@ -146,11 +212,28 @@ class SpectNegKou:
     eta2: float
 
     family: ClassVar[str] = "spectneg_kou"
+    jump_kind: ClassVar[str] = "down"
+    diffusive: ClassVar[bool] = True
+    class_d_note: ClassVar[str] = (
+        "phi(r) > 1 under r > psi(1); upward-passage bound decays like "
+        "n**(1 - phi(r))")
 
     def __post_init__(self) -> None:
         _require(self.sigma > 0, "sigma must be positive")
         _require(self.a > 0, "jump intensity a must be positive")
         _require(self.eta2 > 0, "eta2 must be positive")
+
+    @property
+    def poles(self) -> Tuple[float, ...]:
+        return (-self.eta2,)
+
+    def exponent(self, z):
+        return (self.m * z + 0.5 * self.sigma**2 * z * z
+                + self.a * (self.eta2 / (self.eta2 + z) - 1.0))
+
+    def exponent_prime(self, z):
+        return (self.m + self.sigma**2 * z
+                - self.a * self.eta2 / (self.eta2 + z) ** 2)
 
 
 LevyModel = Union[BrownianDrift, KouJD, ExpJD, NegPoisson, SpectNegKou]
@@ -170,55 +253,28 @@ def psi(model: LevyModel, lam):
     jumps.
     """
     lam_arr = np.asarray(lam, dtype=float)
-    if isinstance(model, BrownianDrift):
-        out = model.m * lam_arr + 0.5 * model.sigma**2 * lam_arr**2
-    elif isinstance(model, KouJD):
-        if np.any(lam_arr >= model.eta1):
-            raise ValueError(f"psi diverges for lam >= eta1 = {model.eta1}")
-        if np.any(lam_arr <= -model.eta2):
-            raise ValueError(f"psi diverges for lam <= -eta2 = {-model.eta2}")
-        out = (model.m * lam_arr + 0.5 * model.sigma**2 * lam_arr**2
-               + model.a * (model.eta1 * model.p / (model.eta1 - lam_arr)
-                            + model.eta2 * model.q / (model.eta2 + lam_arr)
-                            - 1.0))
-    elif isinstance(model, ExpJD):
-        if np.any(lam_arr >= model.eta1):
-            raise ValueError(f"psi diverges for lam >= eta1 = {model.eta1}")
-        out = (model.m * lam_arr + 0.5 * model.sigma**2 * lam_arr**2
-               + model.a * lam_arr / (model.eta1 - lam_arr))
-    elif isinstance(model, NegPoisson):
-        out = model.a * (np.exp(-lam_arr) - 1.0)
-    elif isinstance(model, SpectNegKou):
-        if np.any(lam_arr <= -model.eta2):
-            raise ValueError(f"psi diverges for lam <= -eta2 = {-model.eta2}")
-        out = (model.m * lam_arr + 0.5 * model.sigma**2 * lam_arr**2
-               + model.a * (model.eta2 / (model.eta2 + lam_arr) - 1.0))
-    else:
-        raise TypeError(f"not a Levy model: {model!r}")
+    for pole in model.poles:
+        beyond = lam_arr >= pole if pole > 0 else lam_arr <= pole
+        if np.any(beyond):
+            side = ">=" if pole > 0 else "<="
+            raise ValueError(f"psi diverges for lam {side} {pole}")
+    out = model.exponent(lam_arr)
     return float(out) if np.ndim(lam) == 0 else out
 
 
 def psi1(model: LevyModel) -> float:
     """Exponential growth rate psi(1) of the asset price E[exp(X_t)]."""
-    return psi(model, 1.0)
+    # 1 lies inside every family's domain: eta1 > 1 is enforced.
+    return float(model.exponent(1.0))
 
 
-def _psi_prime(model: LevyModel, lam: float) -> float:
-    if isinstance(model, BrownianDrift):
-        return model.m + model.sigma**2 * lam
-    if isinstance(model, KouJD):
-        return (model.m + model.sigma**2 * lam
-                + model.a * (model.eta1 * model.p / (model.eta1 - lam) ** 2
-                             - model.eta2 * model.q / (model.eta2 + lam) ** 2))
-    if isinstance(model, ExpJD):
-        return (model.m + model.sigma**2 * lam
-                + model.a * model.eta1 / (model.eta1 - lam) ** 2)
-    if isinstance(model, NegPoisson):
-        return -model.a * math.exp(-lam)
-    if isinstance(model, SpectNegKou):
-        return (model.m + model.sigma**2 * lam
-                - model.a * model.eta2 / (model.eta2 + lam) ** 2)
-    raise TypeError(f"not a Levy model: {model!r}")
+def has_phi(model: LevyModel) -> bool:
+    """Whether psi(lam) = qq has a largest root phi(qq) for every qq > 0.
+
+    That needs an exponent that grows without bound on the right: a
+    diffusion part and no upward jumps, i.e. no pole above 0.
+    """
+    return model.diffusive and all(pole < 0 for pole in model.poles)
 
 
 def phi(model: LevyModel, qq: float) -> float:
@@ -231,45 +287,14 @@ def phi(model: LevyModel, qq: float) -> float:
     """
     if qq <= 0:
         raise ValueError("phi requires qq > 0")
-    if isinstance(model, (KouJD, ExpJD)):
+    if not model.diffusive:
+        raise ValueError(f"phi is undefined for {model.family}: the exponent "
+                         "is bounded above by zero, so psi(lam) = qq has no "
+                         "root for qq > 0")
+    if not has_phi(model):
         raise ValueError("phi is defined only for spectrally negative models; "
                          f"{model.family} has upward jumps")
-    if isinstance(model, NegPoisson):
-        raise ValueError("phi is undefined for neg_poisson: the exponent "
-                         "a*(exp(-lam) - 1) is bounded above by zero, so "
-                         "psi(lam) = qq has no root for qq > 0")
-    hi = 1.0
-    for _ in range(200):
-        if psi(model, hi) > qq:
-            break
-        hi *= 2.0
-    else:  # pragma: no cover - exponent is unbounded for these families
-        raise ArithmeticError("failed to bracket phi")
-    root = brentq(lambda lm: psi(model, lm) - qq, 0.0, hi,
-                  xtol=1e-15, rtol=8.9e-16)
-    for _ in range(2):
-        slope = _psi_prime(model, root)
-        if slope > 0:
-            step = (psi(model, root) - qq) / slope
-            cand = root - step
-            if 0.0 < cand <= hi:
-                root = cand
-    if abs(psi(model, root) - qq) > 1e-12 * max(1.0, qq):
-        raise ArithmeticError("phi root failed its residual check")
-    return root
-
-
-_CLASS_D_NOTES = {
-    "brownian": "discounted-excursion bound decays like n**(1 - 2r/sigma^2 "
-                "adjusted rate); holds whenever r > psi(1)",
-    "kou": "smallest positive characteristic root exceeds 1 under r > psi(1), "
-           "so the upward-passage bound decays like a negative power",
-    "expjd": "same positive-root argument as the two-sided jump diffusion",
-    "neg_poisson": "paths are non-increasing, so the discounted payoff "
-                   "process is bounded",
-    "spectneg_kou": "phi(r) > 1 under r > psi(1); upward-passage bound decays "
-                    "like n**(1 - phi(r))",
-}
+    return real_roots(model, qq)[-1]
 
 
 @dataclass(frozen=True)
@@ -299,14 +324,13 @@ def assumption_report(model: LevyModel, r: float) -> AssumptionReport:
     """
     growth = psi1(model)
     discounting = r > growth
-    class_d = True if isinstance(model, NegPoisson) else discounting
     return AssumptionReport(
         family=model.family,
         psi1=growth,
         finite_mean=True,
         discounting=discounting,
-        class_d=class_d,
-        note=_CLASS_D_NOTES[model.family],
+        class_d=discounting or not model.diffusive,
+        note=model.class_d_note,
     )
 
 
@@ -317,7 +341,7 @@ class ProblemSpec:
     ``v`` is the starting asset value, ``alpha`` the payout rate on the
     asset, ``c`` the running cost, ``r`` the discount rate.  Construction
     rejects non-positive parameters and any (model, r) pair violating the
-    discounting assumption r > psi(1).
+    discounting assumption r > psi(1), and keeps psi(1) as ``psi1``.
     """
 
     model: LevyModel
@@ -325,6 +349,7 @@ class ProblemSpec:
     alpha: float
     c: float
     v: float
+    psi1: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _require(self.r > 0, "r must be positive")
@@ -337,10 +362,7 @@ class ProblemSpec:
             raise AssumptionError(
                 "discounting assumption violated: requires "
                 f"r > psi(1) = {report.psi1:.6g}, got r = {self.r:.6g}")
-
-    @property
-    def psi1(self) -> float:
-        return psi1(self.model)
+        object.__setattr__(self, "psi1", report.psi1)
 
     @property
     def b_upper(self) -> float:

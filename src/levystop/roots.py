@@ -1,32 +1,33 @@
-"""Real roots of the characteristic equation psi(beta) = r.
+"""Real roots of the characteristic equation psi(beta) = q.
 
-For the jump diffusions the Laplace exponent is a rational function of beta,
-so psi(beta) = r clears to a cubic or quartic with a known real-root layout:
+Every diffusive family's exponent grows like sigma^2 beta^2 / 2 at both ends
+of the real line, and its continuation through a jump pole runs to +inf on
+the side facing 0 and to -inf on the far side.  So psi - q changes sign
+exactly once in each gap between consecutive points of {poles, 0} and beyond
+the outermost ones, and the poles alone fix the root layout:
 
-* ``KouJD``        four real roots  psi3 < -eta2 < psi2 < 0 < psi1 < eta1 < psi0
-* ``ExpJD``        two roots above the axis, psi1 in (0, eta1) and psi0 > eta1,
-  plus a single negative root -lam_bar handled by ``emery_root``
-* ``SpectNegKou``  psi3 < -eta2 < psi2 < 0 < psi1, with psi1 = phi(r)
+* ``KouJD``          psi3 < -eta2 < psi2 < 0 < psi1 < eta1 < psi0
+* ``ExpJD``          -lam_bar < 0 < psi1 < eta1 < psi0
+* ``SpectNegKou``    psi3 < -eta2 < psi2 < 0 < psi1, with psi1 = phi(q)
+* ``BrownianDrift``  the two roots of a quadratic, in closed form
 
-Roots are isolated analytically (each lives between consecutive poles of the
-rational continuation, or beyond the outermost pole) and then solved by
-bracketed Brent iteration with a short Newton polish.  The continuation
-``_rational`` evaluates the formula across poles without the domain checks
-``models.psi`` performs, which is exactly what root isolation needs.
+Each gap is bracketed analytically (just inside a pole, at 0 where
+psi - q = -q, or by marching outward) and solved by ``bracketed_root``, one
+safeguarded Newton-bisection.  The families' ``exponent`` methods continue
+psi through the poles without domain checks, which is what bracketing needs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
-from scipy.optimize import brentq
+if TYPE_CHECKING:
+    from .models import ExpJD, LevyModel
 
-from .models import ExpJD, KouJD, LevyModel, SpectNegKou
-
-__all__ = ["EmeryRoot", "KouRoots", "RootBracketError", "emery_root",
-           "kou_roots"]
+__all__ = ["EmeryRoot", "KouRoots", "RootBracketError", "bracketed_root",
+           "emery_root", "kou_roots", "real_roots"]
 
 _EPS = math.ulp(1.0)
 
@@ -40,8 +41,8 @@ class KouRoots:
     """Real characteristic roots, slotted by position.
 
     Slots that the family does not possess are ``None``: ``ExpJD`` has no
-    negative roots in this parametrisation (see ``emery_root``), and
-    ``SpectNegKou`` has no root beyond an upper pole because it has none.
+    lower pole, so its one negative root is left out (``emery_root`` gives
+    it as -lam_bar), and ``SpectNegKou`` has no upper pole to lie beyond.
     """
 
     psi0: Optional[float]
@@ -51,9 +52,8 @@ class KouRoots:
 
     def ordered(self) -> tuple:
         """Non-None roots in ascending order."""
-        present = [x for x in (self.psi3, self.psi2, self.psi1, self.psi0)
-                   if x is not None]
-        return tuple(present)
+        return tuple(x for x in (self.psi3, self.psi2, self.psi1, self.psi0)
+                     if x is not None)
 
 
 @dataclass(frozen=True)
@@ -63,136 +63,149 @@ class EmeryRoot:
     lam_bar: float
 
 
-def _rational(model: LevyModel, beta: float) -> float:
-    """psi(beta) continued through the poles, no domain validation."""
-    quad = model.m * beta + 0.5 * model.sigma**2 * beta**2
-    if isinstance(model, KouJD):
-        return quad + model.a * (model.eta1 * model.p / (model.eta1 - beta)
-                                 + model.eta2 * model.q / (model.eta2 + beta)
-                                 - 1.0)
-    if isinstance(model, ExpJD):
-        return quad + model.a * beta / (model.eta1 - beta)
-    if isinstance(model, SpectNegKou):
-        return quad + model.a * (model.eta2 / (model.eta2 + beta) - 1.0)
-    raise TypeError(f"no rational exponent for family {model!r}")
+def bracketed_root(f: Callable[[float], float], lo: float, hi: float,
+                   fprime: Optional[Callable[[float], float]] = None
+                   ) -> float:
+    """Root of ``f`` between ``lo`` and ``hi``, where f changes sign.
 
-
-def _rational_prime(model: LevyModel, beta: float) -> float:
-    lin = model.m + model.sigma**2 * beta
-    if isinstance(model, KouJD):
-        return lin + model.a * (
-            model.eta1 * model.p / (model.eta1 - beta) ** 2
-            - model.eta2 * model.q / (model.eta2 + beta) ** 2)
-    if isinstance(model, ExpJD):
-        return lin + model.a * model.eta1 / (model.eta1 - beta) ** 2
-    if isinstance(model, SpectNegKou):
-        return lin - model.a * model.eta2 / (model.eta2 + beta) ** 2
-    raise TypeError(f"no rational exponent for family {model!r}")
-
-
-def _pad_from_pole(f, pole: float, side: int, want_positive: bool) -> float:
-    """Point just inside the blow-up region next to ``pole``.
-
-    ``side`` is +1 to probe above the pole, -1 below.  The initial offset is
-    relative to the pole's magnitude; if the rational term has not yet
-    overwhelmed the quadratic there (small jump intensity), shrink toward the
-    pole until the sign is the asymptotic one.
+    Newton starts from the end with the smaller |f| and keeps its step while
+    the step stays inside the shrinking sign-change bracket and is at most
+    half the previous step; otherwise it bisects.  Without ``fprime`` the
+    slope is the secant through the last two points.  Stops once a step is
+    within a few ulps of the iterate.
     """
-    pad = 1e-9 * (1.0 + abs(pole))
-    for _ in range(64):
-        x = pole + side * pad
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if (f_lo > 0.0) == (f_hi > 0.0):
+        raise RootBracketError(f"no sign change on [{lo!r}, {hi!r}]")
+    neg, pos = (lo, hi) if f_lo < 0.0 else (hi, lo)
+    if abs(f_lo) <= abs(f_hi):
+        x, fx, x_prev, f_prev = lo, f_lo, hi, f_hi
+    else:
+        x, fx, x_prev, f_prev = hi, f_hi, lo, f_lo
+    step = abs(hi - lo)
+    for _ in range(400):
+        slope = fprime(x) if fprime is not None else (
+            (fx - f_prev) / (x - x_prev))
+        x_prev, f_prev = x, fx
+        newton = x - fx / slope if slope else math.nan
+        if (min(neg, pos) <= newton <= max(neg, pos)
+                and abs(newton - x) <= 0.5 * step):
+            x = newton
+        else:
+            x = 0.5 * (neg + pos)
+        step = abs(x - x_prev)
+        if step <= 4.0 * _EPS * abs(x):
+            return x
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if fx < 0.0:
+            neg = x
+        else:
+            pos = x
+    raise RootBracketError(f"no convergence on [{lo!r}, {hi!r}]")
+
+
+def _near(f, point: float, side: int) -> float:
+    """Bracket end just ``side`` (+1 above, -1 below) of a gap's end ``point``.
+
+    At 0, f = -q < 0.  Next to a pole, f runs to +inf on the side facing 0
+    and to -inf on the far side; probe at an offset relative to the pole's
+    magnitude and shrink it toward the pole until f shows that sign (the
+    jump term needs a small offset to dominate when the jump rate is
+    small), or until no float lies between the probe and the pole.
+    """
+    if point == 0.0:
+        return 0.0
+    pad = 1e-9 * (1.0 + abs(point))
+    while True:
+        x = point + side * pad
+        if x == point:
+            raise RootBracketError(
+                f"cannot bracket the root next to pole {point!r}: the sign "
+                "change lies within a few ulps of the pole")
         val = f(x)
-        if math.isfinite(val) and (val > 0) == want_positive:
+        if math.isfinite(val) and (val > 0) == (side * point < 0):
             return x
         pad /= 16.0
-    raise RootBracketError(f"no sign blow-up detected next to pole {pole}")
 
 
 def _expand_out(f, start: float, side: int) -> float:
     """March outward from ``start`` (direction ``side``) until f > 0."""
     step = 1.0 + abs(start)
-    x = start
     for _ in range(200):
-        x = start + side * step
-        if f(x) > 0:
-            return x
+        if f(start + side * step) > 0:
+            return start + side * step
         step *= 2.0
     raise RootBracketError("quadratic growth never dominated; bad parameters?")
 
 
-def _solve(f, fprime, lo: float, hi: float) -> float:
-    """Brent on a sign-changing bracket, then two guarded Newton steps."""
-    root = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    for _ in range(2):
-        slope = fprime(root)
-        if slope == 0:
-            break
-        cand = root - f(root) / slope
-        if lo < cand < hi:
-            root = cand
-    res = abs(f(root))
-    cond = abs(fprime(root)) * (1.0 + abs(root))
-    if res > max(1e-12, 64.0 * _EPS * cond):
-        raise RootBracketError(f"root residual {res} too large at {root}")
-    return root
+def _quadratic_roots(m: float, s2: float, q: float) -> Tuple[float, float]:
+    """Both roots of m beta + s2 beta^2 / 2 = q, each subtraction-free."""
+    disc = math.sqrt(m * m + 2.0 * q * s2)
+    if m > 0:
+        return -(m + disc) / s2, 2.0 * q / (m + disc)
+    return -2.0 * q / (disc - m), (disc - m) / s2
 
 
-def kou_roots(model: LevyModel, r: float) -> KouRoots:
+def real_roots(model: "LevyModel", q: float) -> Tuple[float, ...]:
+    """All real roots of psi(beta) = q, ascending, for a diffusive family."""
+    if q <= 0:
+        raise ValueError("q must be positive")
+    if not model.diffusive:
+        raise ValueError(f"{model.family} has no diffusion part, so "
+                         "psi(beta) = q has no characteristic root layout")
+    if not model.poles:
+        return _quadratic_roots(model.m, model.sigma**2, q)
+
+    def f(beta: float) -> float:
+        return model.exponent(beta) - q
+
+    fp = model.exponent_prime
+    points = tuple(sorted(model.poles + (0.0,)))
+    roots = []
+    for lo, hi in zip((-math.inf,) + points, points + (math.inf,)):
+        a = _expand_out(f, hi, -1) if lo == -math.inf else _near(f, lo, +1)
+        b = _expand_out(f, lo, +1) if hi == math.inf else _near(f, hi, -1)
+        root = bracketed_root(f, a, b, fp)
+        res = abs(f(root))
+        cond = abs(fp(root)) * (1.0 + abs(root))
+        if res > max(1e-12, 64.0 * _EPS * cond):
+            raise RootBracketError(f"root residual {res} too large at {root}")
+        roots.append(root)
+    return tuple(roots)
+
+
+def kou_roots(model: "LevyModel", r: float) -> KouRoots:
     """All real roots of psi(beta) = r for the rational-exponent families."""
     if r <= 0:
         raise ValueError("r must be positive")
-    if not isinstance(model, (KouJD, ExpJD, SpectNegKou)):
+    if not model.poles:
         raise ValueError("characteristic roots via kou_roots exist only for "
                          "the rational-exponent jump diffusions; got "
                          f"{model.family}")
-
-    def f(beta: float) -> float:
-        return _rational(model, beta) - r
-
-    def fp(beta: float) -> float:
-        return _rational_prime(model, beta)
-
-    # f(0) = -r < 0 anchors every inner bracket.
-    psi0 = psi2 = psi3 = None
-    if isinstance(model, (KouJD, ExpJD)):
-        up_in = _pad_from_pole(f, model.eta1, -1, want_positive=True)
-        psi1_root = _solve(f, fp, 0.0, up_in)
-        up_out = _pad_from_pole(f, model.eta1, +1, want_positive=False)
-        psi0 = _solve(f, fp, up_out, _expand_out(f, model.eta1, +1))
-    else:
-        psi1_root = _solve(f, fp, 0.0, _expand_out(f, 0.0, +1))
-    if isinstance(model, (KouJD, SpectNegKou)):
-        dn_in = _pad_from_pole(f, -model.eta2, +1, want_positive=True)
-        psi2 = _solve(f, fp, dn_in, 0.0)
-        dn_out = _pad_from_pole(f, -model.eta2, -1, want_positive=False)
-        psi3 = _solve(f, fp, _expand_out(f, -model.eta2, -1), dn_out)
-
-    roots = KouRoots(psi0=psi0, psi1=psi1_root, psi2=psi2, psi3=psi3)
-    seq = roots.ordered()
-    if any(b <= a for a, b in zip(seq, seq[1:])):
-        raise RootBracketError(f"root ordering violated: {seq}")
-    return roots
+    roots = real_roots(model, r)
+    neg = [b for b in roots if b < 0]
+    pos = [b for b in roots if b > 0]
+    psi3, psi2 = neg if len(neg) == 2 else (None, None)
+    return KouRoots(psi0=pos[1] if len(pos) == 2 else None, psi1=pos[0],
+                    psi2=psi2, psi3=psi3)
 
 
-def emery_root(model: ExpJD, r: float) -> EmeryRoot:
+def emery_root(model: "ExpJD", r: float) -> EmeryRoot:
     """Unique lam_bar > 0 with psi(-lam_bar) = r for the up-jump diffusion.
 
     On the negative axis the exponent of ``ExpJD`` has no pole, and
     h(lam) = psi(-lam) is convex with h(0) = 0, so h(lam) = r has exactly
-    one positive solution.
+    one positive solution: minus the lowest characteristic root.
     """
-    if not isinstance(model, ExpJD):
+    if not model.poles or min(model.poles) < 0:
         raise ValueError("emery_root applies to the upward jump diffusion "
                          f"only; got {model.family}")
     if r <= 0:
         raise ValueError("r must be positive")
-
-    def h(lam: float) -> float:
-        return (-model.m * lam + 0.5 * model.sigma**2 * lam**2
-                - model.a * lam / (model.eta1 + lam) - r)
-
-    def hp(lam: float) -> float:
-        return (-model.m + model.sigma**2 * lam
-                - model.a * model.eta1 / (model.eta1 + lam) ** 2)
-
-    return EmeryRoot(lam_bar=_solve(h, hp, 0.0, _expand_out(h, 0.0, +1)))
+    return EmeryRoot(lam_bar=-real_roots(model, r)[0])

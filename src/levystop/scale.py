@@ -1,112 +1,50 @@
-"""q-scale functions for the spectrally negative families.
+"""q-scale functions for the spectrally negative families, in residue form.
 
 ``W`` is the q-scale function: the increasing solution of the two-sided exit
 problem whose Laplace transform is 1 / (psi(beta) - q) for beta > phi(q).
-``Z`` is its partner Z(x) = 1 + q * int_0^x W.  Both are recovered by
-numerical inversion of the transform, tabulated once on a uniform grid and
-interpolated with cubic splines.
+``Z`` is its partner Z(x) = 1 + q * int_0^x W.
 
-Two tricks keep float64 accuracy:
+For ``BrownianDrift`` and ``SpectNegKou`` the transform is rational, with
+one simple pole at each real root beta_i of psi(beta) = q, so both
+functions are finite sums over those roots (Kuznetsov, Kyprianou & Rivero
+2012, "The theory of scale functions for spectrally negative Levy
+processes"):
 
-* invert the tilted function Wt(x) = exp(-phi(q) x) W(x), whose transform
-  1 / (psi(beta + phi(q)) - q) has its rightmost singularity at 0, so the
-  inverse is bounded instead of exponentially growing;
-* keep the Talbot node count moderate.  The fixed-Talbot contour multiplies
-  roundoff by roughly exp(2 * nodes / 5); 24 nodes leaves the floor near
-  1e-12, while pushing to 64 nodes would amplify noise to about 1e-5.
+    W(x) = sum_i exp(beta_i x) / psi'(beta_i)
+    Z(x) = 1 + q sum_i expm1(beta_i x) / (beta_i psi'(beta_i))
 
-Every tabulation self-checks by re-inverting a subset of points with a
-different node count.  On disagreement the grid is rebuilt with the slower
-Euler summation and ``status`` flips from "ok" to "warning".
+No inversion, no tables: the roots come from ``roots.real_roots``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Union
+import sys
+from typing import Union
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .models import BrownianDrift, LevyModel, SpectNegKou, phi, psi
+from .models import LevyModel, has_phi
+from .roots import real_roots
 
-__all__ = ["ScaleFunction", "invert_laplace_euler", "invert_laplace_talbot"]
+__all__ = ["ScaleFunction"]
 
 ArrayLike = Union[float, np.ndarray]
 
-
-def invert_laplace_talbot(transform: Callable[[np.ndarray], np.ndarray],
-                          x: ArrayLike, nodes: int = 24) -> ArrayLike:
-    """Fixed-Talbot inversion of ``transform`` at positive abscissae ``x``.
-
-    ``transform`` must accept a complex ndarray.  Vectorised over ``x``; the
-    contour scale is 2 * nodes / (5 x) per point.
-    """
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x_arr <= 0):
-        raise ValueError("Talbot inversion needs x > 0")
-    m = int(nodes)
-    rad = 2.0 * m / (5.0 * x_arr)                       # (n,)
-    theta = np.arange(1, m) * (math.pi / m)             # (m-1,)
-    cot = 1.0 / np.tan(theta)
-    s = rad[:, None] * theta * (cot + 1j)               # (n, m-1)
-    sigma = theta + (theta * cot - 1.0) * cot
-    terms = np.exp(x_arr[:, None] * s) * transform(s) * (1.0 + 1j * sigma)
-    acc = 0.5 * np.exp(rad * x_arr) * np.real(
-        transform(rad.astype(complex)))
-    acc = acc + np.sum(np.real(terms), axis=1)
-    out = acc * 2.0 / (5.0 * x_arr)
-    return float(out[0]) if np.ndim(x) == 0 else out
-
-
-def invert_laplace_euler(transform: Callable[[np.ndarray], np.ndarray],
-                         x: ArrayLike, decay: float = 30.0,
-                         n_terms: int = 40, n_avg: int = 15) -> ArrayLike:
-    """Euler-summation inversion (Abate-Whitt) at positive abscissae ``x``.
-
-    Slower and slightly less accurate than fixed Talbot but built from a
-    completely different quadrature, which makes it a useful cross-check and
-    fallback.  Discretisation error is about exp(-decay).
-    """
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x_arr <= 0):
-        raise ValueError("Euler inversion needs x > 0")
-    total = n_terms + n_avg
-    k = np.arange(1, total + 1)
-    s = (decay + 2j * math.pi * k) / (2.0 * x_arr[:, None])   # (n, total)
-    signs = np.where(k % 2 == 0, 1.0, -1.0)
-    increments = signs * np.real(transform(s))               # (n, total)
-    base = 0.5 * np.real(transform(
-        np.full_like(x_arr, decay / 2.0, dtype=complex) / x_arr))
-    partial = base[:, None] + np.cumsum(increments, axis=1)  # (n, total)
-    weights = np.array([math.comb(n_avg, j) for j in range(n_avg + 1)],
-                       dtype=float) / 2.0**n_avg
-    averaged = partial[:, n_terms - 1: n_terms + n_avg] @ weights
-    out = averaged * math.exp(decay / 2.0) / x_arr
-    return float(out[0]) if np.ndim(x) == 0 else out
-
-
-def _psi_complex(model: LevyModel, z: np.ndarray) -> np.ndarray:
-    """Laplace exponent continued to complex arguments, no domain checks."""
-    quad = model.m * z + 0.5 * model.sigma**2 * z * z
-    if isinstance(model, BrownianDrift):
-        return quad
-    if isinstance(model, SpectNegKou):
-        return quad + model.a * (model.eta2 / (model.eta2 + z) - 1.0)
-    raise TypeError(f"no spectrally negative exponent for {model!r}")
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class ScaleFunction:
-    """Tabulated q-scale function pair (W, Z) on [0, x_max].
+    """Scale function pair (W, Z) and W' on the domain [0, x_max].
 
     Supports the spectrally negative diffusive families.  Evaluation beyond
-    ``x_max`` raises: the tables do not extrapolate.  Negative arguments
-    follow the standard conventions W = 0 and Z = 1.
+    ``x_max`` raises.  Negative arguments follow the standard conventions
+    W = 0 and Z = 1; W(0) = 0 because both families have a Brownian part.
     """
 
-    def __init__(self, model: LevyModel, q: float, *, nodes: int = 24,
-                 grid_step: float = 1e-3, x_max: float = 10.0) -> None:
-        if not isinstance(model, (BrownianDrift, SpectNegKou)):
+    def __init__(self, model: LevyModel, q: float, *,
+                 x_max: float = 10.0) -> None:
+        if not has_phi(model):
             raise ValueError("scale functions are implemented for the "
                              "spectrally negative diffusive families; got "
                              f"{model.family}")
@@ -114,99 +52,35 @@ class ScaleFunction:
             raise ValueError("q must be positive")
         self.model = model
         self.q = float(q)
-        self.nodes = int(nodes)
         self.x_max = float(x_max)
-        self.phi_q = phi(model, q)
-        self.status = "ok"
-        self._tilted_z_cache: Dict[float, CubicSpline] = {}
+        self._roots = np.array(real_roots(model, q))
+        self._weights = 1.0 / model.exponent_prime(self._roots)
 
-        def tilted_transform(s: np.ndarray) -> np.ndarray:
-            return 1.0 / (_psi_complex(model, s + self.phi_q) - q)
-
-        def tilted_deriv_transform(s: np.ndarray) -> np.ndarray:
-            # W tilted vanishes at 0+, so the derivative transform is s F(s).
-            return s / (_psi_complex(model, s + self.phi_q) - q)
-
-        n_pts = int(round(x_max / grid_step))
-        grid = np.linspace(0.0, x_max, n_pts + 1)
-        wt = np.empty_like(grid)
-        wt_prime = np.empty_like(grid)
-        wt[0] = 0.0
-        wt_prime[0] = 2.0 / model.sigma**2
-        wt[1:] = invert_laplace_talbot(tilted_transform, grid[1:], nodes)
-        wt_prime[1:] = invert_laplace_talbot(tilted_deriv_transform,
-                                             grid[1:], nodes)
-
-        probe = grid[1::max(1, n_pts // 16)]
-        ref = invert_laplace_talbot(tilted_transform, probe, nodes + 12)
-        scale_w = max(1.0, float(np.max(np.abs(wt))))
-        if np.max(np.abs(invert_laplace_talbot(tilted_transform, probe,
-                                               nodes) - ref)) > 1e-8 * scale_w:
-            self.status = "warning"
-            wt[1:] = invert_laplace_euler(tilted_transform, grid[1:])
-            wt_prime[1:] = invert_laplace_euler(tilted_deriv_transform,
-                                                grid[1:])
-
-        self._grid = grid
-        self._wt_spline = CubicSpline(grid, wt)
-        self._wt_prime_spline = CubicSpline(grid, wt_prime)
-        w_vals = np.exp(self.phi_q * grid) * wt
-        self._w_vals = w_vals
-        self._w_antideriv = CubicSpline(grid, w_vals).antiderivative()
-
-    def _check_domain(self, x_arr: np.ndarray) -> None:
+    def _outer(self, x: ArrayLike):
+        """Checked 1-d arguments and beta_i * max(x, 0), one row per x."""
+        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         if np.any(x_arr > self.x_max * (1.0 + 1e-12)):
-            raise ValueError(f"x beyond tabulated domain [0, {self.x_max}]")
+            raise ValueError(f"x beyond the domain [0, {self.x_max}]")
+        bx = np.multiply.outer(np.clip(x_arr, 0.0, None), self._roots)
+        if np.any(bx > _LOG_MAX):
+            raise ArithmeticError(
+                "W and Z exceed the float range past x = "
+                f"{_LOG_MAX / self._roots[-1]:.6g}, where phi(q) x > "
+                f"{_LOG_MAX:.6g}")
+        return x_arr, bx
 
     def W(self, x: ArrayLike) -> ArrayLike:
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        self._check_domain(x_arr)
-        pos = np.clip(x_arr, 0.0, None)
-        out = np.exp(self.phi_q * pos) * self._wt_spline(pos)
-        out = np.where(x_arr < 0.0, 0.0, out)
+        x_arr, bx = self._outer(x)
+        out = np.where(x_arr <= 0.0, 0.0, np.exp(bx) @ self._weights)
         return float(out[0]) if np.ndim(x) == 0 else out
 
     def Wprime(self, x: ArrayLike) -> ArrayLike:
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        self._check_domain(x_arr)
-        pos = np.clip(x_arr, 0.0, None)
-        out = np.exp(self.phi_q * pos) * (self._wt_prime_spline(pos)
-                                          + self.phi_q * self._wt_spline(pos))
+        x_arr, bx = self._outer(x)
+        out = np.exp(bx) @ (self._roots * self._weights)
         out = np.where(x_arr < 0.0, 0.0, out)
         return float(out[0]) if np.ndim(x) == 0 else out
 
     def Z(self, x: ArrayLike) -> ArrayLike:
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        self._check_domain(x_arr)
-        pos = np.clip(x_arr, 0.0, None)
-        out = 1.0 + self.q * self._w_antideriv(pos)
-        out = np.where(x_arr < 0.0, 1.0, out)
-        return float(out[0]) if np.ndim(x) == 0 else out
-
-    def tilted_W(self, c: float, x: ArrayLike) -> ArrayLike:
-        """exp(-c x) W(x), the W-function under the exp(c)-tilted measure."""
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        self._check_domain(x_arr)
-        pos = np.clip(x_arr, 0.0, None)
-        out = np.exp((self.phi_q - c) * pos) * self._wt_spline(pos)
-        out = np.where(x_arr < 0.0, 0.0, out)
-        return float(out[0]) if np.ndim(x) == 0 else out
-
-    def tilted_Z(self, c: float, x: ArrayLike) -> ArrayLike:
-        """Z-function under the exp(c)-tilted measure.
-
-        Equals 1 + (q - psi(c)) * int_0^x exp(-c u) W(u) du; the integral is
-        a spline antiderivative cached per tilt.
-        """
-        c = float(c)
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        self._check_domain(x_arr)
-        antideriv = self._tilted_z_cache.get(c)
-        if antideriv is None:
-            vals = np.exp(-c * self._grid) * self._w_vals
-            antideriv = CubicSpline(self._grid, vals).antiderivative()
-            self._tilted_z_cache[c] = antideriv
-        pos = np.clip(x_arr, 0.0, None)
-        out = 1.0 + (self.q - psi(self.model, c)) * antideriv(pos)
-        out = np.where(x_arr < 0.0, 1.0, out)
+        x_arr, bx = self._outer(x)
+        out = 1.0 + self.q * (np.expm1(bx) @ (self._weights / self._roots))
         return float(out[0]) if np.ndim(x) == 0 else out

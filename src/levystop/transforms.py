@@ -1,7 +1,6 @@
 """Discounted first-passage transforms and the candidate value g.
 
-For each family, ``HittingTransforms`` precomputes the constants of the two
-closed forms
+``HittingTransforms`` precomputes the constants of the two closed forms
 
 * ``L(x) = E[exp(-r tau_x)]``            (Laplace transform of the passage time)
 * ``G(x) = E[exp(-r tau_x + X_{tau_x})]``  (joint transform with the overshoot)
@@ -9,6 +8,15 @@ closed forms
 where ``tau_x`` is the first time X falls to or below ``x <= 0``, starting
 from 0.  Both equal 1 for x >= 0 (the passage is immediate) and both are
 nondecreasing with 0 <= G <= L <= 1.
+
+Diffusive families read both off the negative roots of psi(beta) = r.
+With one, -rate, there are no downward jumps: X creeps onto the level, so
+L = exp(rate x) and G = exp(x) L.  With two, psi3 < -eta2 < psi2, the
+downward jumps are exponential(eta2) and the two-root closed form of Kou &
+Wang 2003 ("First passage times of a jump diffusion process", Adv. Appl.
+Prob. 35) applies.  The unit-jump counter has no diffusion: each unit of
+depth costs one Exp(a) wait and the passage lands on the integer, so L and
+G are powers.
 
 The canonical argument is log-moneyness x = ln(b / v); callers never hand
 (v, b) pairs to transform code.  ``candidate_value`` performs that change of
@@ -18,34 +26,22 @@ variable once, in one place.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Optional, Union
 
 import numpy as np
 
-from .models import (BrownianDrift, ExpJD, KouJD, LevyModel, NegPoisson,
-                     ProblemSpec, SpectNegKou, assumption_report, phi, psi1)
-from .roots import emery_root, kou_roots
-from .scale import ScaleFunction
+from .models import LevyModel, ProblemSpec, assumption_report
+from .roots import real_roots
 
-__all__ = ["HittingTransforms", "brownian_passage_rate", "candidate_value"]
+__all__ = ["HittingTransforms", "candidate_value"]
 
 ArrayLike = Union[float, np.ndarray]
 
 
-def brownian_passage_rate(m: float, sigma: float, r: float) -> float:
-    """Positive root lam of sigma^2 lam^2 / 2 - m lam = r.
-
-    E[exp(-r tau_x)] = exp(lam x) for downward passage of a Brownian motion
-    with drift.  Uses the subtraction-free branch for m <= 0.
-    """
-    disc = math.sqrt(m * m + 2.0 * r * sigma * sigma)
-    if m > 0:
-        return (m + disc) / sigma**2
-    return 2.0 * r / (disc - m)
-
-
-def _kou_style_LG(psi2: float, psi3: float, eta2: float, x: np.ndarray):
-    """Closed-form L and G from the two negative characteristic roots.
+def _kou_style_LG(psi2: float, psi3: float, eta2: float, x: np.ndarray,
+                  want_joint: bool) -> np.ndarray:
+    """Closed-form L or G from the two negative characteristic roots.
 
     Valid for any family whose downward jumps are exponential(eta2) riding on
     a diffusion: the passage triple (time, undershoot) is determined by the
@@ -54,103 +50,65 @@ def _kou_style_LG(psi2: float, psi3: float, eta2: float, x: np.ndarray):
     span = psi2 - psi3
     e3 = np.exp(-x * psi3)
     e2 = np.exp(-x * psi2)
-    lap = (psi2 * (eta2 + psi3) * e3 - psi3 * (eta2 + psi2) * e2) / (span * eta2)
-    joint = np.exp(x) * ((eta2 + psi3) * (psi2 - 1.0) * e3
-                         + (eta2 + psi2) * (1.0 - psi3) * e2) / (span * (eta2 + 1.0))
-    return lap, joint
+    if want_joint:
+        out = np.exp(x) * ((eta2 + psi3) * (psi2 - 1.0) * e3
+                           + (eta2 + psi2) * (1.0 - psi3) * e2) / (
+                               span * (eta2 + 1.0))
+    else:
+        out = ((psi2 * (eta2 + psi3) * e3 - psi3 * (eta2 + psi2) * e2)
+               / (span * eta2))
+    return np.where(x < 0.0, out, 1.0)
+
+
+def _creeping(rate: float, x: np.ndarray, want_joint: bool) -> np.ndarray:
+    return np.exp(x * (rate + 1.0 if want_joint else rate))
+
+
+def _lattice(gamma: float, x: np.ndarray, want_joint: bool) -> np.ndarray:
+    return np.power(gamma / math.e if want_joint else gamma, np.ceil(-x))
 
 
 class HittingTransforms:
-    """Family-dispatched evaluators for L and G.
+    """Evaluators for L and G, built from the characteristic roots.
 
     Construction validates the discounting assumption r > psi(1) (the G
-    closed forms are derived under it) and precomputes roots, passage rates
-    or scale-function tables as the family requires.  Evaluation is pure and
-    array-aware; objects are immutable after construction.
+    closed forms are derived under it) and solves the real roots of
+    psi(beta) = r once; ``roots`` keeps them, ascending (empty for the
+    counter).  ``slope_ratio`` is lim_{x->0-} (1 - L(x)) / (1 - G(x)).
+    Evaluation is pure and array-aware; objects are immutable after
+    construction.
     """
 
-    def __init__(self, model: LevyModel, r: float, *,
-                 scale_x_max: float = 12.0) -> None:
+    def __init__(self, model: LevyModel, r: float) -> None:
         report = assumption_report(model, r)
         if not report.discounting:
             raise ValueError("transforms need the discounting assumption "
                              f"r > psi(1) = {report.psi1:.6g}; got r = {r:.6g}")
         self.model = model
         self.r = float(r)
-        self._scale: Optional[ScaleFunction] = None
-        if isinstance(model, BrownianDrift):
-            self._rate = brownian_passage_rate(model.m, model.sigma, r)
-        elif isinstance(model, KouJD):
-            roots = kou_roots(model, r)
-            self._psi2 = roots.psi2
-            self._psi3 = roots.psi3
-        elif isinstance(model, ExpJD):
-            self._rate = emery_root(model, r).lam_bar
-        elif isinstance(model, NegPoisson):
-            self._gamma_lap = model.a / (r + model.a)
-            self._gamma_joint = self._gamma_lap / math.e
-        elif isinstance(model, SpectNegKou):
-            self.phi_r = phi(model, r)
-            roots = kou_roots(model, r)
-            self._psi2 = roots.psi2
-            self._psi3 = roots.psi3
-            # The Z - (r/Phi) W difference loses exp(phi_r * y) * eps of
-            # absolute accuracy at depth y, so past the wall we switch to the
-            # algebraically identical two-root closed form (the p -> 0 limit
-            # of the double-exponential formulas); the seam error stays
-            # below ~2e-9.
-            self._wall = min(scale_x_max, 9.0 / self.phi_r)
-            self._scale = ScaleFunction(model, r,
-                                        x_max=min(scale_x_max,
-                                                  self._wall + 0.5))
+        if not model.diffusive:
+            self.roots = ()
+            gamma = model.a / (r + model.a)
+            self._passage = partial(_lattice, gamma)
+            self.slope_ratio = (1.0 - gamma) / (1.0 - gamma / math.e)
+            return
+        self.roots = real_roots(model, r)
+        neg = [beta for beta in self.roots if beta < 0]
+        if len(neg) == 1:
+            rate = -neg[0]
+            self._passage = partial(_creeping, rate)
+            self.slope_ratio = rate / (rate + 1.0)
         else:
-            raise TypeError(f"not a Levy model: {model!r}")
-
-    @property
-    def scale_status(self) -> str:
-        """Numerical-quality flag of the underlying scale table, if any."""
-        return "ok" if self._scale is None else self._scale.status
+            psi3, psi2 = neg
+            eta2 = -model.poles[0]
+            self._passage = partial(_kou_style_LG, psi2, psi3, eta2)
+            self.slope_ratio = (psi2 * psi3 * (eta2 + 1.0)
+                                / (eta2 * (1.0 - psi2) * (1.0 - psi3)))
 
     def _eval(self, x: ArrayLike, want_joint: bool) -> ArrayLike:
         x_arr = np.minimum(np.asarray(x, dtype=float), 0.0)
-        model = self.model
-        if isinstance(model, (BrownianDrift, ExpJD)):
-            # No downward jumps: the level is hit exactly, so G = e^x L.
-            rate = self._rate + (1.0 if want_joint else 0.0)
-            out = np.exp(x_arr * rate)
-        elif isinstance(model, KouJD):
-            lap, joint = _kou_style_LG(self._psi2, self._psi3, model.eta2,
-                                       x_arr)
-            out = joint if want_joint else lap
-        elif isinstance(model, NegPoisson):
-            buckets = np.ceil(-x_arr)
-            base = self._gamma_joint if want_joint else self._gamma_lap
-            out = np.power(base, buckets)
-        else:
-            out = self._spectneg(x_arr, want_joint)
+        out = self._passage(x_arr, want_joint)
         return float(out) if np.ndim(x) == 0 else out
-
-    def _spectneg(self, x_arr: np.ndarray, want_joint: bool) -> np.ndarray:
-        y = -x_arr
-        near = y <= self._wall
-        out = np.empty_like(y)
-        sf = self._scale
-        if np.any(near):
-            yn = y[near]
-            if want_joint:
-                growth = psi1(self.model)
-                out[near] = (sf.tilted_Z(1.0, yn)
-                             - (self.r - growth) / (self.phi_r - 1.0)
-                             * sf.tilted_W(1.0, yn))
-            else:
-                out[near] = sf.Z(yn) - self.r / self.phi_r * sf.W(yn)
-        if np.any(~near):
-            lap, joint = _kou_style_LG(self._psi2, self._psi3,
-                                       self.model.eta2, x_arr[~near])
-            out[~near] = joint if want_joint else lap
-        # the Z - cW differences leave ~1e-9 of cancellation noise around
-        # tiny far-tail values; both transforms live in [0, 1]
-        return np.clip(out, 0.0, 1.0)
 
     def L(self, x: ArrayLike) -> ArrayLike:
         """E[exp(-r tau_x)] for the first passage of X to (-inf, x]."""

@@ -84,7 +84,7 @@ def test_value_csv_uses_crlf_and_zeroes_the_stop_region(tmp_path,
 def test_scale_fn_matches_hyperbolic_closed_form(tmp_path, spec_path):
     out = tmp_path / "scale.csv"
     proc = run_cli("scale-fn", "--spec", spec_path, "--q", "1.0",
-                   "--grid", "0:1:5", "--out", str(out), "--strict")
+                   "--grid", "0:1:5", "--out", str(out))
     assert proc.returncode == 0
     rows = list(csv.reader(io.StringIO(out.read_text())))
     assert rows[0] == ["x", "W", "Wprime", "Z"]
@@ -95,6 +95,54 @@ def test_scale_fn_matches_hyperbolic_closed_form(tmp_path, spec_path):
     assert last[1] == pytest.approx(s2 * math.sinh(s2), rel=1e-6)
     assert last[2] == pytest.approx(2.0 * math.cosh(s2), rel=1e-6)
     assert last[3] == pytest.approx(math.cosh(s2), rel=1e-6)
+
+
+def test_small_sigma_spectneg_specs_are_served(tmp_path):
+    # Phi(r) near 2e3 and 6e5: the exponent's quadratic term only takes
+    # over far from the origin.
+    for name, model, r in (
+            ("a", {"family": "spectneg_kou", "m": 0.0, "sigma": 1e-3,
+                   "a": 1.0, "eta2": 2.0}, 1.0),
+            ("b", {"family": "spectneg_kou", "m": -0.3, "sigma": 1e-3,
+                   "a": 1.5, "eta2": 3.0}, 2.0)):
+        path = write_spec(tmp_path, dict(BROWNIAN_SPEC, model=model, r=r),
+                          f"{name}.json")
+        proc = run_cli("threshold", "--spec", path)
+        assert proc.returncode == 0, proc.stderr
+        b_c = json.loads(proc.stdout)["b_c"]
+        proc = run_cli("value", "--spec", path, "--grid",
+                       f"{0.5 * b_c!r}:{4.0 * b_c!r}:8")
+        assert proc.returncode == 0, proc.stderr
+        rows = list(csv.reader(io.StringIO(proc.stdout)))[1:]
+        for v_text, w_text in rows:
+            v, w = float(v_text), float(w_text)
+            assert math.isfinite(w)
+            assert (w == 0.0) if v <= b_c else (w > 0.0)
+
+
+def test_unbracketable_root_exits_3_naming_the_pole(tmp_path):
+    # The root beyond eta1 = 1e9 lies within a few ulps of the pole.
+    model = {"family": "kou", "m": -0.2, "sigma": 0.3, "a": 0.5, "p": 0.4,
+             "eta1": 1e9, "eta2": 3.0}
+    path = write_spec(tmp_path, dict(BROWNIAN_SPEC, model=model))
+    proc = run_cli("threshold", "--spec", path)
+    assert proc.returncode == 3
+    assert "numerical failure" in proc.stderr
+    assert "pole 1000000000.0" in proc.stderr
+
+
+def test_cli_runs_without_scipy(spec_path):
+    # numpy is the only runtime dependency.
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from levystop.cli import main\n"
+        f"assert main(['threshold', '--spec', {spec_path!r}]) == 0\n"
+        f"assert main(['value', '--spec', {spec_path!r}, "
+        "'--grid', '0.1:2:5']) == 0\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_sweep_reruns_are_byte_identical(tmp_path, spec_path):

@@ -2,7 +2,7 @@
 
 The oracle clears denominators of the rational equation and hands the
 resulting polynomial to numpy's companion-matrix solver, which shares no
-code with the production bracketed bisection.
+code with the production bracketed Newton-bisection.
 """
 
 import numpy as np
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from levystop.models import ExpJD, KouJD, NegPoisson, SpectNegKou, psi
-from levystop.roots import emery_root, kou_roots
+from levystop.roots import RootBracketError, emery_root, kou_roots
 
 rng_ranges = dict(
     m=st.floats(-2.0, 2.0), sigma=st.floats(0.1, 3.0),
@@ -144,6 +144,12 @@ def test_kou_roots_invalid_inputs():
         kou_roots(model, 0.0)
     with pytest.raises((TypeError, ValueError)):
         kou_roots(NegPoisson(a=1.0), 1.0)
+    # Past eta1 ~ 1e8 the root beyond the pole sits within a few ulps of it:
+    # a typed error that names the pole, not a division by zero.
+    for eta1 in (1e8, 1e9):
+        huge = KouJD(m=-0.2, sigma=0.3, a=0.5, p=0.4, eta1=eta1, eta2=3.0)
+        with pytest.raises(RootBracketError, match=f"pole {eta1!r}"):
+            kou_roots(huge, 1.0)
 
 
 def test_positive_root_exceeds_one_under_discounting():

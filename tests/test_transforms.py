@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from levystop.engine import value_function
 from levystop.models import (BrownianDrift, ExpJD, KouJD, NegPoisson,
                              ProblemSpec, SpectNegKou, psi)
 from levystop.roots import emery_root
@@ -93,8 +94,9 @@ def test_neg_poisson_G_uses_integer_overshoot_not_level():
 
 
 def test_spectneg_scale_route_matches_two_root_closed_form():
-    # The same values through the Kou p -> 0 limit: closed form built from
-    # the model's own negative roots, and a literal tiny-p Kou model.
+    # The same values through the Kou p -> 0 limit: the closed form built
+    # from the model's own negative roots against a literal tiny-p Kou
+    # model.
     model = SpectNegKou(m=0.1, sigma=0.7, a=0.9, eta2=1.8)
     r = 2.0
     ht = HittingTransforms(model, r)
@@ -106,18 +108,17 @@ def test_spectneg_scale_route_matches_two_root_closed_form():
     assert np.max(np.abs(ht.G(xs) - tiny_p.G(xs))) < 1e-6
 
 
-def test_spectneg_is_smooth_across_the_evaluation_seam():
-    # deep arguments switch from the scale table to the closed-form tail
-    model = SpectNegKou(m=0.1, sigma=0.7, a=0.9, eta2=1.8)
-    r = 2.0
-    ht = HittingTransforms(model, r)
-    wall = ht._wall
-    xs = -np.linspace(wall - 0.2, wall + 0.2, 101)
-    lv = ht.L(xs)
-    gv = ht.G(xs)
-    assert np.all(np.abs(np.diff(lv)) < 1e-4)
-    assert np.all(np.diff(lv) <= 1e-9)  # still monotone through the seam
-    assert np.all(lv >= gv - 1e-10)
+def test_spectneg_value_is_convex_past_threshold():
+    # w is a supremum of affine functions of v, hence convex.  The grid
+    # runs through depth ln(v / B_c) = 9 / Phi(r), where a switch between
+    # two evaluation routes would show as a kink.
+    spec = ProblemSpec(model=SpectNegKou(m=0.4197, sigma=0.3373, a=0.3017,
+                                         eta2=5.353),
+                       r=2.532, alpha=1.0, c=1.0, v=1.0)
+    w = value_function(spec)
+    vs = np.linspace(w.b_c, 10.0 * w.b_c, 1000)[1:]
+    scale = spec.alpha * vs[-1] / (spec.r - spec.psi1)
+    assert np.min(np.diff(w(vs), 2)) > -1e-13 * scale
 
 
 @given(st.floats(-6.0, -0.01), st.floats(-1.5, 1.5), st.floats(0.1, 2.0),
@@ -131,8 +132,7 @@ def test_fuzzed_domination_spectneg(x, m, sigma, a, eta2):
     gv = float(ht.G(x))
     assert 0.0 <= gv <= 1.0
     assert 0.0 <= lv <= 1.0
-    # deep in the tail both values sit at the scale-route noise floor, so
-    # domination only holds up to the absolute accuracy budget
+    # domination holds up to the absolute accuracy budget
     assert gv <= lv + 1e-8
 
 
@@ -168,11 +168,3 @@ def test_candidate_value_is_array_aware():
     assert vec.shape == vs.shape
     for vi, gi in zip(vs, vec):
         assert gi == candidate_value(spec, 0.3, float(vi))
-
-
-def test_scale_status_passthrough():
-    ht = HittingTransforms(SpectNegKou(m=0.1, sigma=0.7, a=0.9, eta2=1.8),
-                           2.0)
-    assert ht.scale_status in ("ok", "warning")
-    assert HittingTransforms(BrownianDrift(m=0.0, sigma=1.0),
-                             1.0).scale_status == "ok"
