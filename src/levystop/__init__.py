@@ -17,9 +17,8 @@ drops to a level B_c.  Modules:
 from .engine import ThresholdResult, ValueFunction, threshold, value_function
 from .models import (AssumptionError, AssumptionReport, BrownianDrift, ExpJD,
                      KouJD, LevyModel, NegPoisson, ProblemSpec, SpectNegKou,
-                     assumption_report, check_assumptions, model_from_dict,
-                     model_to_dict, phi, psi, psi1, spec_from_dict,
-                     spec_to_dict)
+                     assumption_report, model_from_dict, model_to_dict, phi,
+                     psi, psi1, spec_from_dict, spec_to_dict)
 
 __all__ = [
     "AssumptionError",
@@ -34,7 +33,6 @@ __all__ = [
     "ThresholdResult",
     "ValueFunction",
     "assumption_report",
-    "check_assumptions",
     "model_from_dict",
     "model_to_dict",
     "phi",

@@ -10,11 +10,12 @@ that cannot be bracketed in floating point, or fails its residual check).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import sys
-from typing import IO, List, Optional, Sequence
+from typing import IO, ContextManager, List, Optional, Sequence
 
 import numpy as np
 
@@ -63,16 +64,16 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _emit_text(text: str, out: Optional[str]) -> None:
+def _output(out: Optional[str]) -> ContextManager[IO[str]]:
+    """Standard output, or the file ``out`` opened for writing."""
     if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(out, "w", encoding="utf-8", newline="")
 
 
 def _emit_json(doc: dict, out: Optional[str]) -> None:
-    _emit_text(json.dumps(doc, indent=2) + "\n", out)
+    with _output(out) as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _fmt(x: float) -> str:
@@ -81,18 +82,12 @@ def _fmt(x: float) -> str:
 
 def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[object]],
               out: Optional[str]) -> None:
-    def write(fh: IO[str]) -> None:
+    with _output(out) as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([cell if isinstance(cell, str) else _fmt(cell)
                              for cell in row])
-
-    if out is None:
-        write(sys.stdout)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
 
 
 def _sim_config(args: argparse.Namespace) -> SimConfig:

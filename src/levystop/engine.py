@@ -22,8 +22,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .models import ProblemSpec, has_phi
-from .roots import bracketed_root
+from .models import ProblemSpec, has_phi, phi
+from .roots import bracketed_root, real_roots
 from .transforms import HittingTransforms, candidate_value
 
 __all__ = ["ConvexityReport", "ThresholdResult", "ValueFunction",
@@ -86,16 +86,15 @@ def _threshold(spec: ProblemSpec,
     b_c = bound * ratio
     if not 0.0 < b_c < bound:
         raise ArithmeticError(f"threshold {b_c} escaped (0, {bound})")
-    roots = transforms.roots
-    neg = tuple(beta for beta in roots if beta < 0)
+    neg = transforms.roots
     phi_r: Optional[float] = None
     roots_used: Optional[tuple] = None
     if has_phi(model):
-        phi_r = roots[-1]
+        phi_r = phi(model, spec.r)
     elif len(neg) == 1:
         roots_used = neg
-    elif roots:
-        roots_used = roots
+    elif neg:
+        roots_used = neg + real_roots(model, spec.r, side=+1)
     return ThresholdResult(
         b_c=b_c,
         regime=G_CONTINUOUS if model.diffusive else G_DISCONTINUOUS,

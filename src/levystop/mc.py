@@ -108,11 +108,8 @@ def _resolve_horizon(cfg: SimConfig, r: float, growth: float) -> float:
 
 
 def _thread_count() -> int:
-    raw = os.environ.get("LEVYSTOP_THREADS", "")
-    if not raw:
-        return 1
     try:
-        return max(1, int(raw))
+        return max(1, int(os.environ.get("LEVYSTOP_THREADS", "1")))
     except ValueError:
         return 1
 
@@ -159,10 +156,6 @@ def _draw_jumps(dyn: _Dynamics, rng: np.random.Generator,
         return rng.standard_exponential(k) / dyn.eta1
     if dyn.kind == "down":
         return -rng.standard_exponential(k) / dyn.eta2
-    if dyn.kind == "unit_down":
-        return np.full(k, -1.0)
-    if dyn.kind == "unit_up":
-        return np.full(k, 1.0)
     raise ValueError(f"unknown jump kind {dyn.kind!r}")
 
 
@@ -178,7 +171,6 @@ class PassageRecord:
     both present only when the integral was requested.
     """
 
-    levels: np.ndarray
     tau: np.ndarray
     x_hit: np.ndarray
     hit: np.ndarray
@@ -466,7 +458,7 @@ def _simulate_levels(dyn: _Dynamics, r_disc: float, levels: Sequence[float],
     else:
         for i in range(len(sizes)):
             run(i)
-    return PassageRecord(levels=levels_arr, tau=tau, x_hit=x_hit, hit=hit,
+    return PassageRecord(tau=tau, x_hit=x_hit, hit=hit,
                          disc_exp_int=a_at, final_int=a_final)
 
 
@@ -481,8 +473,6 @@ def hitting_estimates(model: LevyModel, r: float, levels: Sequence[float],
     if r <= 0:
         raise ValueError("r must be positive")
     levels_arr = np.asarray(levels, dtype=float)
-    if np.any(levels_arr >= 0):
-        raise ValueError("levels must be negative")
     order = np.argsort(-levels_arr, kind="stable")
     dyn = _Dynamics.from_model(model)
     horizon = _resolve_horizon(cfg, r, psi1(model))

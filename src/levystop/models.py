@@ -47,7 +47,6 @@ __all__ = [
     "ProblemSpec",
     "SpectNegKou",
     "assumption_report",
-    "check_assumptions",
     "has_phi",
     "model_from_dict",
     "model_to_dict",
@@ -127,22 +126,18 @@ class KouJD:
         _require(self.eta2 > 0, "eta2 must be positive")
 
     @property
-    def q(self) -> float:
-        return 1.0 - self.p
-
-    @property
     def poles(self) -> Tuple[float, ...]:
         return (-self.eta2, self.eta1)
 
     def exponent(self, z):
         return (self.m * z + 0.5 * self.sigma**2 * z * z
                 + self.a * (self.eta1 * self.p / (self.eta1 - z)
-                            + self.eta2 * self.q / (self.eta2 + z) - 1.0))
+                            + self.eta2 * (1 - self.p) / (self.eta2 + z) - 1))
 
     def exponent_prime(self, z):
         return (self.m + self.sigma**2 * z
                 + self.a * (self.eta1 * self.p / (self.eta1 - z) ** 2
-                            - self.eta2 * self.q / (self.eta2 + z) ** 2))
+                            - self.eta2 * (1 - self.p) / (self.eta2 + z)**2))
 
 
 @dataclass(frozen=True)
@@ -287,14 +282,11 @@ def phi(model: LevyModel, qq: float) -> float:
     """
     if qq <= 0:
         raise ValueError("phi requires qq > 0")
-    if not model.diffusive:
-        raise ValueError(f"phi is undefined for {model.family}: the exponent "
-                         "is bounded above by zero, so psi(lam) = qq has no "
-                         "root for qq > 0")
     if not has_phi(model):
-        raise ValueError("phi is defined only for spectrally negative models; "
-                         f"{model.family} has upward jumps")
-    return real_roots(model, qq)[-1]
+        raise ValueError(f"phi is undefined for {model.family}: it needs an "
+                         "exponent unbounded above, from a Brownian part, "
+                         "and no upward jumps")
+    return real_roots(model, qq, side=+1)[-1]
 
 
 @dataclass(frozen=True)
@@ -374,11 +366,6 @@ class ProblemSpec:
         return self.c * (self.r - self.psi1) / (self.r * self.alpha)
 
 
-def check_assumptions(spec: ProblemSpec) -> AssumptionReport:
-    """Assumption report for an already-validated problem."""
-    return assumption_report(spec.model, spec.r)
-
-
 def model_from_dict(doc: dict) -> LevyModel:
     """Build a model from a JSON-style mapping with a ``family`` tag."""
     if not isinstance(doc, dict):
@@ -404,30 +391,24 @@ def model_from_dict(doc: dict) -> LevyModel:
     return cls(**kwargs)
 
 
+_SPEC_FIELDS = ("r", "alpha", "c", "v")
+
+
 def model_to_dict(model: LevyModel) -> dict:
-    doc = {"family": model.family}
-    doc.update(asdict(model))
-    return doc
+    return {"family": model.family, **asdict(model)}
 
 
 def spec_from_dict(doc: dict) -> ProblemSpec:
     """Build a problem from ``{"model": {...}, "r":, "alpha":, "c":, "v":}``."""
     if not isinstance(doc, dict):
         raise ValueError("problem document must be a JSON object")
-    for key in ("model", "r", "alpha", "c", "v"):
+    for key in ("model",) + _SPEC_FIELDS:
         if key not in doc:
             raise ValueError(f"problem document is missing {key!r}")
-    model = model_from_dict(doc["model"])
-    return ProblemSpec(model=model, r=float(doc["r"]),
-                       alpha=float(doc["alpha"]), c=float(doc["c"]),
-                       v=float(doc["v"]))
+    return ProblemSpec(model=model_from_dict(doc["model"]),
+                       **{key: float(doc[key]) for key in _SPEC_FIELDS})
 
 
 def spec_to_dict(spec: ProblemSpec) -> dict:
-    return {
-        "model": model_to_dict(spec.model),
-        "r": spec.r,
-        "alpha": spec.alpha,
-        "c": spec.c,
-        "v": spec.v,
-    }
+    return {"model": model_to_dict(spec.model),
+            **{key: getattr(spec, key) for key in _SPEC_FIELDS}}

@@ -15,6 +15,9 @@ Each gap is bracketed analytically (just inside a pole, at 0 where
 psi - q = -q, or by marching outward) and solved by ``bracketed_root``, one
 safeguarded Newton-bisection.  The families' ``exponent`` methods continue
 psi through the poles without domain checks, which is what bracketing needs.
+Callers that need one side of 0 only solve the gaps on that side: past
+eta1 ~ 1e8 the root beyond the upper pole lies within a few ulps of it and
+may have no float bracket at all.
 """
 
 from __future__ import annotations
@@ -115,9 +118,9 @@ def _near(f, point: float, side: int) -> float:
 
     At 0, f = -q < 0.  Next to a pole, f runs to +inf on the side facing 0
     and to -inf on the far side; probe at an offset relative to the pole's
-    magnitude and shrink it toward the pole until f shows that sign (the
-    jump term needs a small offset to dominate when the jump rate is
-    small), or until no float lies between the probe and the pole.
+    magnitude and halve it until f shows that sign (the jump term needs a
+    small offset to dominate when the jump rate is small), or until no
+    float lies between the probe and the pole.
     """
     if point == 0.0:
         return 0.0
@@ -131,7 +134,7 @@ def _near(f, point: float, side: int) -> float:
         val = f(x)
         if math.isfinite(val) and (val > 0) == (side * point < 0):
             return x
-        pad /= 16.0
+        pad *= 0.5
 
 
 def _expand_out(f, start: float, side: int) -> float:
@@ -152,15 +155,21 @@ def _quadratic_roots(m: float, s2: float, q: float) -> Tuple[float, float]:
     return -2.0 * q / (disc - m), (disc - m) / s2
 
 
-def real_roots(model: "LevyModel", q: float) -> Tuple[float, ...]:
-    """All real roots of psi(beta) = q, ascending, for a diffusive family."""
+def real_roots(model: "LevyModel", q: float,
+               side: int = 0) -> Tuple[float, ...]:
+    """Real roots of psi(beta) = q, ascending, for a diffusive family.
+
+    ``side`` -1 or +1 keeps only the negative or the positive roots and
+    solves only the gaps on that side of 0; the default keeps them all.
+    """
     if q <= 0:
         raise ValueError("q must be positive")
     if not model.diffusive:
         raise ValueError(f"{model.family} has no diffusion part, so "
                          "psi(beta) = q has no characteristic root layout")
     if not model.poles:
-        return _quadratic_roots(model.m, model.sigma**2, q)
+        pair = _quadratic_roots(model.m, model.sigma**2, q)
+        return tuple(beta for beta in pair if side * beta >= 0)
 
     def f(beta: float) -> float:
         return model.exponent(beta) - q
@@ -169,6 +178,8 @@ def real_roots(model: "LevyModel", q: float) -> Tuple[float, ...]:
     points = tuple(sorted(model.poles + (0.0,)))
     roots = []
     for lo, hi in zip((-math.inf,) + points, points + (math.inf,)):
+        if side * lo < 0 or side * hi < 0:
+            continue
         a = _expand_out(f, hi, -1) if lo == -math.inf else _near(f, lo, +1)
         b = _expand_out(f, lo, +1) if hi == math.inf else _near(f, hi, -1)
         root = bracketed_root(f, a, b, fp)
@@ -182,8 +193,6 @@ def real_roots(model: "LevyModel", q: float) -> Tuple[float, ...]:
 
 def kou_roots(model: "LevyModel", r: float) -> KouRoots:
     """All real roots of psi(beta) = r for the rational-exponent families."""
-    if r <= 0:
-        raise ValueError("r must be positive")
     if not model.poles:
         raise ValueError("characteristic roots via kou_roots exist only for "
                          "the rational-exponent jump diffusions; got "
@@ -206,6 +215,4 @@ def emery_root(model: "ExpJD", r: float) -> EmeryRoot:
     if not model.poles or min(model.poles) < 0:
         raise ValueError("emery_root applies to the upward jump diffusion "
                          f"only; got {model.family}")
-    if r <= 0:
-        raise ValueError("r must be positive")
-    return EmeryRoot(lam_bar=-real_roots(model, r)[0])
+    return EmeryRoot(lam_bar=-real_roots(model, r, side=-1)[0])

@@ -9,7 +9,8 @@ where ``tau_x`` is the first time X falls to or below ``x <= 0``, starting
 from 0.  Both equal 1 for x >= 0 (the passage is immediate) and both are
 nondecreasing with 0 <= G <= L <= 1.
 
-Diffusive families read both off the negative roots of psi(beta) = r.
+Diffusive families read both off the negative roots of psi(beta) = r, and
+solve no others.
 With one, -rate, there are no downward jumps: X creeps onto the level, so
 L = exp(rate x) and G = exp(x) L.  With two, psi3 < -eta2 < psi2, the
 downward jumps are exponential(eta2) and the two-root closed form of Kou &
@@ -73,8 +74,8 @@ class HittingTransforms:
 
     Construction validates the discounting assumption r > psi(1) (the G
     closed forms are derived under it) and solves the real roots of
-    psi(beta) = r once; ``roots`` keeps them, ascending (empty for the
-    counter).  ``slope_ratio`` is lim_{x->0-} (1 - L(x)) / (1 - G(x)).
+    psi(beta) = r once; ``roots`` keeps the negative ones, ascending (empty
+    for the counter).  ``slope_ratio`` is lim_{x->0-} (1 - L(x)) / (1 - G(x)).
     Evaluation is pure and array-aware; objects are immutable after
     construction.
     """
@@ -92,14 +93,13 @@ class HittingTransforms:
             self._passage = partial(_lattice, gamma)
             self.slope_ratio = (1.0 - gamma) / (1.0 - gamma / math.e)
             return
-        self.roots = real_roots(model, r)
-        neg = [beta for beta in self.roots if beta < 0]
-        if len(neg) == 1:
-            rate = -neg[0]
+        self.roots = real_roots(model, r, side=-1)
+        if len(self.roots) == 1:
+            rate = -self.roots[0]
             self._passage = partial(_creeping, rate)
             self.slope_ratio = rate / (rate + 1.0)
         else:
-            psi3, psi2 = neg
+            psi3, psi2 = self.roots
             eta2 = -model.poles[0]
             self._passage = partial(_kou_style_LG, psi2, psi3, eta2)
             self.slope_ratio = (psi2 * psi3 * (eta2 + 1.0)

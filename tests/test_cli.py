@@ -121,7 +121,9 @@ def test_small_sigma_spectneg_specs_are_served(tmp_path):
 
 
 def test_unbracketable_root_exits_3_naming_the_pole(tmp_path):
-    # The root beyond eta1 = 1e9 lies within a few ulps of the pole.
+    # The root beyond eta1 = 1e9 lies within a few ulps of the pole.  The
+    # two-sided family reports it and fails; the up-jump family needs only
+    # its negative root and is served.
     model = {"family": "kou", "m": -0.2, "sigma": 0.3, "a": 0.5, "p": 0.4,
              "eta1": 1e9, "eta2": 3.0}
     path = write_spec(tmp_path, dict(BROWNIAN_SPEC, model=model))
@@ -129,6 +131,17 @@ def test_unbracketable_root_exits_3_naming_the_pole(tmp_path):
     assert proc.returncode == 3
     assert "numerical failure" in proc.stderr
     assert "pole 1000000000.0" in proc.stderr
+    model = {"family": "expjd", "m": -0.2, "sigma": 0.3, "a": 0.5,
+             "eta1": 1e9}
+    path = write_spec(tmp_path, dict(BROWNIAN_SPEC, model=model), "up.json")
+    proc = run_cli("threshold", "--spec", path)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    lam = -doc["roots"][0]  # B_c = b_upper lam / (lam + 1), r = c = alpha = 1
+    assert doc["b_c"] == pytest.approx((1.0 - doc["psi1"]) * lam / (lam + 1.0),
+                                       rel=1e-14)
+    proc = run_cli("value", "--spec", path, "--grid", "0.5:4:8")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_runs_without_scipy(spec_path):

@@ -49,12 +49,16 @@ def _real_roots_of_cleared_one_sided(m, sigma, a, eta, r, up):
 
 
 def test_kou_roots_pinned_configuration():
-    model = KouJD(m=0.05, sigma=0.3, a=0.5, p=0.4, eta1=3.0, eta2=2.0)
-    kr = kou_roots(model, 0.5)
-    oracle = _real_roots_of_cleared_kou(model, 0.5)
-    assert np.allclose(kr.ordered(), oracle, rtol=1e-10, atol=1e-12)
-    psi3, psi2, psi1_root, psi0 = kr.ordered()
-    assert psi3 < -model.eta2 < psi2 < 0 < psi1_root < model.eta1 < psi0
+    # eta1 = 1e8 puts the root beyond the upper pole 3 ulps above it; the
+    # pole offset is halved until it lands between the two.
+    for model, r in (
+            (KouJD(m=0.05, sigma=0.3, a=0.5, p=0.4, eta1=3.0, eta2=2.0), 0.5),
+            (KouJD(m=-0.2, sigma=0.3, a=0.5, p=0.4, eta1=1e8, eta2=3.0), 1.0)):
+        kr = kou_roots(model, r)
+        oracle = _real_roots_of_cleared_kou(model, r)
+        assert np.allclose(kr.ordered(), oracle, rtol=1e-10, atol=1e-12)
+        psi3, psi2, psi1_root, psi0 = kr.ordered()
+        assert psi3 < -model.eta2 < psi2 < 0 < psi1_root < model.eta1 < psi0
 
 
 @given(**rng_ranges)
@@ -124,6 +128,16 @@ def test_emery_root_solves_tilted_equation(m, sigma, a, eta1, r):
     assert psi(model, -lam) == pytest.approx(r, rel=0, abs=1e-10 * max(1, r))
 
 
+def test_emery_root_ignores_a_huge_upper_pole():
+    # Only the negative root is solved, so the unbracketable root beyond
+    # eta1 = 1e9 is never looked for.
+    model = ExpJD(m=-0.2, sigma=0.3, a=0.5, eta1=1e9)
+    oracle = _real_roots_of_cleared_one_sided(-0.2, 0.3, 0.5, 1e9, 1.0,
+                                              up=True)
+    assert emery_root(model, 1.0).lam_bar == pytest.approx(-oracle[0],
+                                                           rel=1e-10)
+
+
 def test_emery_root_positive_drift_exceeds_one():
     # With m >= 0 the root sits beyond 1, matching the up-jump passage
     # bound decaying faster than the payoff grows.
@@ -144,12 +158,11 @@ def test_kou_roots_invalid_inputs():
         kou_roots(model, 0.0)
     with pytest.raises((TypeError, ValueError)):
         kou_roots(NegPoisson(a=1.0), 1.0)
-    # Past eta1 ~ 1e8 the root beyond the pole sits within a few ulps of it:
+    # At eta1 = 1e9 no float lies between the pole and the root beyond it:
     # a typed error that names the pole, not a division by zero.
-    for eta1 in (1e8, 1e9):
-        huge = KouJD(m=-0.2, sigma=0.3, a=0.5, p=0.4, eta1=eta1, eta2=3.0)
-        with pytest.raises(RootBracketError, match=f"pole {eta1!r}"):
-            kou_roots(huge, 1.0)
+    huge = KouJD(m=-0.2, sigma=0.3, a=0.5, p=0.4, eta1=1e9, eta2=3.0)
+    with pytest.raises(RootBracketError, match="pole 1000000000.0"):
+        kou_roots(huge, 1.0)
 
 
 def test_positive_root_exceeds_one_under_discounting():
