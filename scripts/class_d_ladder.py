@@ -25,7 +25,6 @@ def main(argv=None) -> int:
                         help="discount rate; defaults to the spec's r")
     parser.add_argument("--max-n", type=int, default=256)
     parser.add_argument("--paths", type=int, default=200000)
-    parser.add_argument("--dt", type=float, default=0.05)
     parser.add_argument("--horizon", type=float, default=None)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
@@ -41,7 +40,7 @@ def main(argv=None) -> int:
     while 2 * ladder[-1] <= args.max_n:
         ladder.append(2 * ladder[-1])
     result = class_d_diagnostic(model, r, ladder,
-                                SimConfig(n_paths=args.paths, dt=args.dt,
+                                SimConfig(n_paths=args.paths,
                                           horizon=args.horizon,
                                           seed=args.seed))
     print(f"{model.family}, r = {r:.6g}, psi(1) = {psi(model, 1.0):.6g}, "

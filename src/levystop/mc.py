@@ -1,17 +1,27 @@
 """Monte Carlo oracle for every closed form in the package.
 
-One vectorised first-passage engine drives all estimators.  Paths of X are
-advanced on a global dt grid; within a step, jump times are drawn exactly
-from the exponential clock and split the step, so jumps carry no
-discretisation error.  Diffusion segments get an optional Brownian-bridge
-crossing test between endpoints (an Exp(1) draw per segment; the draw is
-consumed whether or not the correction is enabled, so bridge on/off runs
-share identical randomness path by path).
+Two vectorised first-passage samplers drive all estimators.  Both watch
+several downward levels in one pass, sorted shallowest first: a cascade
+advances each path's pending-level pointer while the current segment (or
+jump) still crosses the next level.  Sharing one pass across levels is what
+makes the b-sweep exact common random numbers.
 
-Several downward levels are monitored in one pass, sorted shallowest first:
-a cascade advances each path's pending-level pointer while the current
-segment (or jump) still crosses the next level.  Sharing one pass across
-levels is what makes the b-sweep exact common random numbers.
+Estimators that need only the passage (tau, X_tau) -- the transforms L and
+G, the eps-stopping times and the class-D ladder -- use an exact
+event-driven sampler with no time grid.  Paths step from jump to jump; each
+diffusion segment draws its Gaussian endpoint, tests the pending levels
+against the exact law of the Brownian-bridge minimum and draws each
+crossing time from the bridge first-passage law (Metwally & Atiya 2002,
+J. Derivatives 10(1)).  Their only bias is the horizon truncation.
+
+The policy-value estimators also need the discounted integral along the
+path, so they advance paths on a global dt grid; within a step, jump times
+are drawn exactly from the exponential clock and split the step, so jumps
+carry no discretisation error.  Diffusion segments get an optional
+Brownian-bridge crossing test between endpoints (an Exp(1) draw per
+segment; the draw is consumed whether or not the correction is enabled, so
+bridge on/off runs share identical randomness path by path).  The counter
+family is sampled exactly, jump by jump, by both kinds of estimator.
 
 Reproducibility contract: paths are partitioned into fixed batches of
 ``cfg.batch_size``; batch i uses the i-th spawn of SeedSequence(cfg.seed)
@@ -26,7 +36,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,6 +67,9 @@ class SimConfig:
     ``horizon`` None resolves to 50 / (r - psi(1)) at the point of use, so
     the discounted truncation error is below e^-50.  ``batch_size`` fixes
     the path partition the reproducibility contract is stated over.
+    ``dt`` and ``bridge_correction`` apply only to the integral estimators
+    (``policy_value``, ``sweep``); the passage-only estimators sample
+    exactly and ignore them.
     """
 
     n_paths: int
@@ -178,24 +191,158 @@ class PassageRecord:
     final_int: Optional[np.ndarray]
 
 
-def _diffusive_batch(dyn: _Dynamics, r_disc: float, levels: np.ndarray,
-                     horizon: float, dt: float, bridge: bool,
-                     want_integral: bool, abandon_level: Optional[float],
-                     rng: np.random.Generator, n: int) -> Tuple[np.ndarray, ...]:
+def _jump_crossings(levels: np.ndarray, pend: np.ndarray, x: np.ndarray,
+                    lanes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Advance ``pend`` past the levels that jumps landing at ``x`` pass.
+
+    Levels descend, so a jump passes every pending level at or above its
+    landing point.  Returns the lanes and level indices of the passages,
+    one entry per passage.
+    """
+    old = pend[lanes]
+    stop = np.searchsorted(-levels, -x[lanes], side="right")
+    moved = np.flatnonzero(stop > old)
+    if not moved.size:
+        return moved, moved
+    lanes, old, stop = lanes[moved], old[moved], stop[moved]
+    pend[lanes] = stop
+    count = stop - old
+    j = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - old,
+                                           count)
+    return np.repeat(lanes, count), j
+
+
+def _bridge_crossings(rng: np.random.Generator, alpha: np.ndarray,
+                      beta: np.ndarray, var_dt: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """Which Brownian-bridge segments reach their level, and when.
+
+    Segment i starts ``alpha[i]`` >= 0 above its level, ends ``beta[i]``
+    above it and has variance ``var_dt[i]`` = sigma^2 delta.  One Exp(1)
+    draw per segment tests the crossing against the exact bridge-minimum
+    law P(min <= level) = exp(-2 alpha beta / var_dt), which is 1 when
+    beta <= 0.  Returns the positions of the crossing segments and the
+    elapsed fraction s of each at its passage: s / (1 - s) is inverse
+    Gaussian with mean alpha / |beta| and shape alpha^2 / var_dt.  Past a
+    mean of 1e12 shapes (beta = 0 among them), where Generator.wald loses
+    precision, its Levy limit shape / Z^2 is drawn instead.  A segment that
+    starts on its level (alpha = 0: a level equal to the one just passed)
+    or has zero length crosses at its start when it crosses at all.
+    """
+    expo = rng.standard_exponential(alpha.size)
+    crossed = np.flatnonzero((beta <= 0) | (alpha <= 0)
+                             | (0.5 * expo * var_dt > alpha * beta))
+    alpha, beta, var_dt = alpha[crossed], beta[crossed], var_dt[crossed]
+    frac = np.zeros(crossed.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shape = alpha * alpha / var_dt
+        mean = alpha / np.abs(beta)
+    draw = np.flatnonzero((shape > 0) & (shape < math.inf))
+    if draw.size:
+        shape = shape[draw]
+        mean = mean[draw]
+        ig = mean < 1e12 * shape
+        u = np.empty(draw.size)
+        u[ig] = rng.wald(mean[ig], shape[ig])
+        levy = ~ig
+        u[levy] = shape[levy] / np.square(rng.standard_normal(
+            int(np.count_nonzero(levy))))
+        with np.errstate(divide="ignore"):
+            frac[draw] = 1.0 / (1.0 + 1.0 / u)
+    return crossed, frac
+
+
+def _event_batch(dyn: _Dynamics, levels: np.ndarray, horizon: float,
+                 abandon_level: Optional[float], rng: np.random.Generator,
+                 n: int) -> Tuple[np.ndarray, ...]:
+    """Exact first-passage sampler for a diffusion with compound Poisson jumps.
+
+    Each lane steps from jump to jump, with no time grid: it draws the next
+    Exp(a) jump gap (none when a = 0, so a Brownian motion takes a single
+    segment), clips the segment at the horizon and draws its Gaussian
+    endpoint.  ``_bridge_crossings`` tests and times the passage of the
+    next pending level; after a passage the bridge restarts from (tau, l)
+    for the level below, which the Markov property allows.  Then the jump
+    lands and passes every pending level at or above its landing point.
+    Lanes retire when every level is passed, at the horizon, or, with
+    ``abandon_level`` set, when an event leaves them at or above it.
+    """
     n_levels = len(levels)
     tau = np.full((n_levels, n), horizon)
     x_hit = np.zeros((n_levels, n))
     hit = np.zeros((n_levels, n), dtype=bool)
-    a_at = np.zeros((n_levels, n)) if want_integral else None
-    a_final = np.zeros(n) if want_integral else None
+
+    def record(j, lanes, t_cross, x_cross) -> None:
+        slot = idx[lanes]
+        tau[j, slot] = t_cross
+        x_hit[j, slot] = x_cross
+        hit[j, slot] = True
+
+    # Compact per-lane state; idx maps lanes back to path slots.
+    idx = np.arange(n)
+    t = np.zeros(n)
+    x = np.zeros(n)
+    pend = np.zeros(n, dtype=np.int64)
+    var = dyn.sigma * dyn.sigma
+    while idx.size:
+        k = idx.size
+        gap = rng.standard_exponential(k) / dyn.a if dyn.a > 0 else math.inf
+        t1 = np.minimum(t + gap, horizon)
+        delta = t1 - t
+        x1 = x + dyn.m * delta + dyn.sigma * np.sqrt(delta) * \
+            rng.standard_normal(k)
+        # Every live lane has a pending level.
+        cas, t0, x0 = np.arange(k), t, x
+        while cas.size:
+            lev = levels[pend[cas]]
+            crossed, frac = _bridge_crossings(rng, x0 - lev, x1[cas] - lev,
+                                              var * (t1[cas] - t0))
+            if not crossed.size:
+                break
+            lanes = cas[crossed]
+            t_cross = np.minimum(t0[crossed] + (t1[lanes] - t0[crossed])
+                                 * frac, t1[lanes])
+            record(pend[lanes], lanes, t_cross, lev[crossed])
+            pend[lanes] += 1
+            more = pend[lanes] < n_levels
+            cas, t0, x0 = lanes[more], t_cross[more], lev[crossed][more]
+        t, x = t1, x1
+        jumping = np.flatnonzero(t < horizon)
+        if jumping.size:
+            x[jumping] += _draw_jumps(dyn, rng, jumping.size)
+            lanes, j = _jump_crossings(levels, pend, x, jumping)
+            if lanes.size:
+                record(j, lanes, t[lanes], x[lanes])
+        keep = (pend < n_levels) & (t < horizon)
+        if abandon_level is not None:
+            keep &= x < abandon_level
+        idx, t, x, pend = idx[keep], t[keep], x[keep], pend[keep]
+    return tau, x_hit, hit, None, None
+
+
+def _diffusive_batch(dyn: _Dynamics, r_disc: float, levels: np.ndarray,
+                     horizon: float, dt: float, bridge: bool,
+                     rng: np.random.Generator, n: int) -> Tuple[np.ndarray, ...]:
+    """dt-grid sampler of the passages and the discounted integral.
+
+    The integral int e^{-r s + X_s} ds needs the path between events, so
+    this sampler steps a global dt grid and splits steps at the exact jump
+    times; the trapezoid rule on the grid carries the integral.
+    """
+    n_levels = len(levels)
+    tau = np.full((n_levels, n), horizon)
+    x_hit = np.zeros((n_levels, n))
+    hit = np.zeros((n_levels, n), dtype=bool)
+    a_at = np.zeros((n_levels, n))
+    a_final = np.zeros(n)
 
     # Compact per-lane state; idx maps lanes back to path slots.  dx caches
     # the discounted integrand e^{X_s - r s}, so each diffusion segment
     # costs a single vector exp.
     idx = np.arange(n)
     x = np.zeros(n)
-    dx = np.ones(n) if want_integral else None
-    acc = np.zeros(n) if want_integral else None
+    dx = np.ones(n)
+    acc = np.zeros(n)
     pend = np.zeros(n, dtype=np.int64)
     has_jumps = dyn.a > 0
     next_jump = rng.standard_exponential(n) / dyn.a if has_jumps else None
@@ -224,9 +371,7 @@ def _diffusive_batch(dyn: _Dynamics, r_disc: float, levels: np.ndarray,
         x0 = x if sel is None else x[sel]
         incr = dyn.m * delta + dyn.sigma * np.sqrt(delta) * z
         x1 = x0 + incr
-        if want_integral:
-            dx1 = (dx if sel is None else dx[sel]) * np.exp(incr
-                                                            - r_disc * delta)
+        dx1 = (dx if sel is None else dx[sel]) * np.exp(incr - r_disc * delta)
         pend_s = pend if sel is None else pend[sel]
         cas = np.flatnonzero(pend_s < n_levels)
         floor_t = None
@@ -268,44 +413,18 @@ def _diffusive_batch(dyn: _Dynamics, r_disc: float, levels: np.ndarray,
             tau[j, slot] = t_cross
             x_hit[j, slot] = levc
             hit[j, slot] = True
-            if want_integral:
-                a_at[j, slot] = acc[clanes] + (t_cross - t0c) * 0.5 * (
-                    dx[clanes] + np.exp(levc - r_disc * t_cross))
+            a_at[j, slot] = acc[clanes] + (t_cross - t0c) * 0.5 * (
+                dx[clanes] + np.exp(levc - r_disc * t_cross))
             pend[clanes] += 1
             cas = cpos[pend[clanes] < n_levels]
         if sel is None:
-            if want_integral:
-                acc += delta * 0.5 * (dx + dx1)
-                dx = dx1
+            acc += delta * 0.5 * (dx + dx1)
+            dx = dx1
             x = x1
         else:
-            if want_integral:
-                acc[sel] += delta * 0.5 * (dx[sel] + dx1)
-                dx[sel] = dx1
+            acc[sel] += delta * 0.5 * (dx[sel] + dx1)
+            dx[sel] = dx1
             x[sel] = x1
-
-    def jump_cascade(lanes: np.ndarray, t_jump: np.ndarray) -> None:
-        """Record passages caused by a jump landing at or below levels."""
-        alive = pend[lanes] < n_levels
-        lanes = lanes[alive]
-        t_jump = t_jump[alive]
-        while lanes.size:
-            crossed = x[lanes] <= levels[pend[lanes]]
-            if not crossed.any():
-                break
-            clanes = lanes[crossed]
-            tc = t_jump[crossed]
-            j = pend[clanes]
-            slot = idx[clanes]
-            tau[j, slot] = tc
-            x_hit[j, slot] = x[clanes]
-            hit[j, slot] = True
-            if want_integral:
-                a_at[j, slot] = acc[clanes]
-            pend[clanes] += 1
-            keep = pend[clanes] < n_levels
-            lanes = clanes[keep]
-            t_jump = tc[keep]
 
     t = 0.0
     while idx.size and t < horizon:
@@ -320,9 +439,14 @@ def _diffusive_batch(dyn: _Dynamics, r_disc: float, levels: np.ndarray,
                     seg_t[due] = next_jump[due]
                     jumps = _draw_jumps(dyn, rng, due.size)
                     x[due] += jumps
-                    if want_integral:
-                        dx[due] *= np.exp(jumps)
-                    jump_cascade(due, seg_t[due])
+                    dx[due] *= np.exp(jumps)
+                    lanes, j = _jump_crossings(levels, pend, x, due)
+                    if lanes.size:
+                        slot = idx[lanes]
+                        tau[j, slot] = seg_t[lanes]
+                        x_hit[j, slot] = x[lanes]
+                        hit[j, slot] = True
+                        a_at[j, slot] = acc[lanes]
                     next_jump[due] += rng.standard_exponential(due.size) / dyn.a
                     due = due[next_jump[due] <= t_end]
         if seg_t is None:
@@ -331,21 +455,17 @@ def _diffusive_batch(dyn: _Dynamics, r_disc: float, levels: np.ndarray,
             advance(None, seg_t, t_end)
         t = t_end
         retire = pend >= n_levels
-        if abandon_level is not None:
-            retire |= x >= abandon_level
         if retire.any():
-            if want_integral:
-                a_final[idx[retire]] = acc[retire]
+            a_final[idx[retire]] = acc[retire]
             keep = ~retire
             idx = idx[keep]
             x = x[keep]
             pend = pend[keep]
-            if want_integral:
-                dx = dx[keep]
-                acc = acc[keep]
+            dx = dx[keep]
+            acc = acc[keep]
             if has_jumps:
                 next_jump = next_jump[keep]
-    if want_integral and idx.size:
+    if idx.size:
         a_final[idx] = acc
     return tau, x_hit, hit, a_at, a_final
 
@@ -406,6 +526,11 @@ def _all_miss_batch(levels: np.ndarray, horizon: float, n: int
 def _simulate_levels(dyn: _Dynamics, r_disc: float, levels: Sequence[float],
                      horizon: float, cfg: SimConfig, want_integral: bool,
                      abandon_level: Optional[float] = None) -> PassageRecord:
+    """Passages of a descending ladder of levels, batch by batch.
+
+    Requests with ``want_integral`` run on the dt grid; passage-only ones
+    use the exact event sampler, which alone reads ``abandon_level``.
+    """
     levels_arr = np.asarray(levels, dtype=float)
     if levels_arr.ndim != 1 or levels_arr.size == 0:
         raise ValueError("levels must be a non-empty 1-d sequence")
@@ -438,10 +563,12 @@ def _simulate_levels(dyn: _Dynamics, r_disc: float, levels: Sequence[float],
         elif dyn.sigma == 0 and dyn.kind == "unit_up":
             # Nondecreasing paths never reach a negative level.
             out = _all_miss_batch(levels_arr, horizon, sizes[i])
-        else:
+        elif want_integral:
             out = _diffusive_batch(dyn, r_disc, levels_arr, horizon, cfg.dt,
-                                   cfg.bridge_correction, want_integral,
-                                   abandon_level, rng, sizes[i])
+                                   cfg.bridge_correction, rng, sizes[i])
+        else:
+            out = _event_batch(dyn, levels_arr, horizon, abandon_level, rng,
+                               sizes[i])
         lo, hi = offsets[i], offsets[i + 1]
         tau[:, lo:hi], x_hit[:, lo:hi], hit[:, lo:hi] = out[0], out[1], out[2]
         if want_integral:
@@ -690,8 +817,9 @@ def class_d_diagnostic(model: LevyModel, r: float, n_levels: Sequence[int],
     e^{-rt+X_t} >= n exactly when Y_t <= -ln n, and the payoff at passage
     is e^{-Y}; a diffusion crossing lands on -ln n so its payoff is n with
     no variance beyond the hit indicator.  When the mirrored drift is
-    positive, paths that climb ``abandon_depth`` above the start are
-    abandoned as misses (recovery probability <= e^{-2 m D / sigma^2}).
+    positive, paths that a jump leaves ``abandon_depth`` or more above the
+    start are abandoned as misses (recovery probability <= e^{-2 m D /
+    sigma^2}).
     """
     growth = psi1(model)
     if r <= growth:

@@ -22,6 +22,7 @@ BM = BrownianDrift(m=0.0, sigma=1.0)
 BM_SPEC = ProblemSpec(model=BM, r=1.0, alpha=1.0, c=1.0, v=1.0)
 NP_SPEC = ProblemSpec(model=NegPoisson(a=1.0), r=0.5, alpha=1.0, c=1.0,
                       v=3.2)
+KOU = KouJD(m=0.1, sigma=0.3, a=0.5, p=0.4, eta1=3.0, eta2=2.0)
 
 
 def test_same_seed_same_estimates_bitwise():
@@ -34,13 +35,20 @@ def test_same_seed_same_estimates_bitwise():
 def test_thread_count_does_not_change_results(monkeypatch):
     cfg = SimConfig(n_paths=3000, dt=0.01, horizon=6.0, seed=9,
                     batch_size=512)
+
+    def run():
+        return (sweep(BM_SPEC, [0.2, 0.3, 0.5], cfg),
+                hitting_estimates(KOU, 1.0, [-0.2, -0.6], cfg),
+                class_d_diagnostic(KOU, 1.0, [2, 4], cfg).estimates)
+
     monkeypatch.delenv("LEVYSTOP_THREADS", raising=False)
-    serial = sweep(BM_SPEC, [0.2, 0.3, 0.5], cfg)
+    serial = run()
     monkeypatch.setenv("LEVYSTOP_THREADS", "4")
-    threaded = sweep(BM_SPEC, [0.2, 0.3, 0.5], cfg)
-    assert np.array_equal(serial.values, threaded.values)
-    assert serial.estimates == threaded.estimates
-    assert serial.argmax_index == threaded.argmax_index
+    threaded = run()
+    assert np.array_equal(serial[0].values, threaded[0].values)
+    assert serial[0].estimates == threaded[0].estimates
+    assert serial[0].argmax_index == threaded[0].argmax_index
+    assert serial[1:] == threaded[1:]
 
 
 def test_batch_partition_fixes_the_stream():
@@ -56,9 +64,10 @@ def test_batch_partition_fixes_the_stream():
 
 def test_bridge_catches_earlier_pathwise():
     # batch_size=1 keeps the draw streams aligned between the two runs.
+    # Only the integral estimators step a dt grid and read the flag.
     dyn = mc._Dynamics.from_model(BM)
     levels = np.array([-0.3, -0.8])
-    kw = dict(horizon=5.0, want_integral=False)
+    kw = dict(horizon=5.0, want_integral=True)
     on = mc._simulate_levels(
         dyn, 1.0, levels, cfg=SimConfig(n_paths=64, dt=0.05, seed=77,
                                         bridge_correction=True,
@@ -84,6 +93,85 @@ def test_passage_times_monotone_in_depth():
     # diffusion crossings land exactly on the level
     for j, lev in enumerate(levels):
         assert np.all(record.x_hit[j][record.hit[j]] == lev)
+
+
+def test_passage_only_estimators_ignore_dt_and_bridge():
+    res = threshold(BM_SPEC)
+    runs = []
+    for dt, bridge in ((1e-3, True), (4e-3, True), (1e-3, False)):
+        cfg = SimConfig(n_paths=1500, dt=dt, horizon=8.0, seed=13,
+                        bridge_correction=bridge)
+        eps = epsilon_stop_paths(BM_SPEC, res, [1e-1, 1e-2], cfg)
+        runs.append((hitting_estimates(KOU, 1.0, [-0.2, -0.6], cfg),
+                     class_d_diagnostic(KOU, 1.0, [2, 4], cfg).estimates,
+                     eps.estimates, eps.tau.tobytes()))
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_equal_levels_are_passed_together():
+    # The second level starts on the first one's passage point: alpha = 0.
+    cfg = SimConfig(n_paths=3000, horizon=8.0, seed=19)
+    for model in (BM, KOU):
+        first, second = hitting_estimates(model, 1.0, [-0.5, -0.5], cfg)
+        assert first == second
+        record = mc._simulate_levels(mc._Dynamics.from_model(model), 1.0,
+                                     [-0.5, -0.5], 8.0, cfg,
+                                     want_integral=False)
+        assert np.array_equal(record.tau[0], record.tau[1])
+        assert np.array_equal(record.x_hit[0], record.x_hit[1])
+        assert record.hit[0].any()
+
+
+def _bridge(alpha, beta, var_dt, n, seed=0):
+    rng = np.random.Generator(np.random.Philox(seed))
+    return mc._bridge_crossings(rng, np.full(n, alpha), np.full(n, beta),
+                                np.full(n, var_dt))
+
+
+def test_bridge_ending_on_the_level_draws_the_levy_limit():
+    # x1 == l: the inverse Gaussian mean alpha/|beta| is infinite, and
+    # s/(1-s) = shape / Z^2, so P(s <= q) = erfc(sqrt(shape (1-q)/q / 2)).
+    n = 40000
+    crossed, frac = _bridge(1.0, 0.0, 1.0, n)
+    assert crossed.size == n
+    assert np.all((frac > 0.0) & (frac <= 1.0))
+    for q in (0.2, 0.5, 0.8):
+        want = math.erfc(math.sqrt((1.0 - q) / q / 2.0))
+        got = float(np.mean(frac <= q))
+        assert abs(got - want) < 4.0 * math.sqrt(want * (1 - want) / n)
+
+
+def test_bridge_crossing_frequency_and_time_law():
+    # P(min <= l) = exp(-2 alpha beta / var_dt); the mean passage fraction
+    # of the bridge from 0.5 to 0.3 above the level is 0.36566 (quadrature).
+    n = 40000
+    crossed, frac = _bridge(0.5, 0.3, 1.0, n)
+    p = math.exp(-0.3)
+    assert abs(crossed.size / n - p) < 4.0 * math.sqrt(p * (1 - p) / n)
+    se = float(np.std(frac)) / math.sqrt(frac.size)
+    assert abs(float(np.mean(frac)) - 0.36566) < 4.0 * se
+
+
+def test_zero_length_bridge_segment_crosses_only_below_the_level():
+    crossed, _ = _bridge(0.5, 0.5, 0.0, 100)
+    assert crossed.size == 0
+    crossed, frac = _bridge(0.5, -0.1, 0.0, 100)
+    assert crossed.size == 100 and np.all(frac == 0.0)
+    crossed, frac = _bridge(0.0, 0.4, 0.0, 100)
+    assert crossed.size == 100 and np.all(frac == 0.0)
+
+
+def test_positive_drift_passage_is_defective():
+    # With drift m > 0, P(tau_l < infinity) = exp(2 m l / sigma^2).
+    model = BrownianDrift(m=0.6, sigma=0.8)
+    levels = [-0.3, -0.9]
+    cfg = SimConfig(n_paths=20000, horizon=400.0, seed=53)
+    record = mc._simulate_levels(mc._Dynamics.from_model(model), 1.0,
+                                 levels, 400.0, cfg, want_integral=False)
+    for j, lev in enumerate(levels):
+        p = math.exp(2.0 * 0.6 * lev / 0.64)
+        got = float(np.mean(record.hit[j]))
+        assert abs(got - p) < 4.0 * math.sqrt(p * (1 - p) / cfg.n_paths)
 
 
 def test_standard_error_shrinks_like_root_n():
