@@ -26,7 +26,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--spec", required=True, help="problem JSON file")
     parser.add_argument("--paths", type=int, default=20000)
-    parser.add_argument("--dt", type=float, default=1e-3)
     parser.add_argument("--horizon", type=float, default=None)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--span", type=float, default=3.0,
@@ -46,7 +45,7 @@ def main(argv=None) -> int:
         print(f"note: grid top {grid[-1]:.4g} >= v = {spec.v:.4g}; "
               "those rows are exactly zero", file=sys.stderr)
 
-    out = sweep(spec, grid, SimConfig(n_paths=args.paths, dt=args.dt,
+    out = sweep(spec, grid, SimConfig(n_paths=args.paths,
                                       horizon=args.horizon, seed=args.seed))
     print(f"B_c = {b_c:.6g} ({result.regime}), v = {spec.v:.6g}, "
           f"{args.paths} paths")

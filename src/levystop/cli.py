@@ -92,7 +92,7 @@ def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[object]],
 
 def _sim_config(args: argparse.Namespace) -> SimConfig:
     return SimConfig(n_paths=args.paths, dt=args.dt, horizon=args.horizon,
-                     seed=args.seed, bridge_correction=not args.no_bridge)
+                     seed=args.seed)
 
 
 def _mc_dict(est) -> dict:
@@ -197,10 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
         if sim:
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--paths", type=int, default=20000)
-            p.add_argument("--dt", type=float, default=1e-3)
+            p.add_argument("--dt", type=float, default=1e-3,
+                           help="accepted for compatibility; the samplers "
+                                "are exact and ignore it")
             p.add_argument("--horizon", type=float, default=None)
-            p.add_argument("--no-bridge", action="store_true",
-                           help="disable the Brownian-bridge correction")
 
     p = sub.add_parser("inspect", help="exponent, roots, assumption report")
     common(p)

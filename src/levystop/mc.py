@@ -6,22 +6,23 @@ advances each path's pending-level pointer while the current segment (or
 jump) still crosses the next level.  Sharing one pass across levels is what
 makes the b-sweep exact common random numbers.
 
-Estimators that need only the passage (tau, X_tau) -- the transforms L and
-G, the eps-stopping times and the class-D ladder -- use an exact
-event-driven sampler with no time grid.  Paths step from jump to jump; each
-diffusion segment draws its Gaussian endpoint, tests the pending levels
-against the exact law of the Brownian-bridge minimum and draws each
-crossing time from the bridge first-passage law (Metwally & Atiya 2002,
-J. Derivatives 10(1)).  Their only bias is the horizon truncation.
+Every family but the counter uses one exact event-driven sampler with no
+time grid.  Paths step from event to event; each diffusion segment draws
+its Gaussian endpoint, tests the pending levels against the exact law of
+the Brownian-bridge minimum and draws each crossing time from the bridge
+first-passage law (Metwally & Atiya 2002, J. Derivatives 10(1)).  The
+counter family is sampled exactly, jump by jump.  The only bias left is
+the horizon truncation.
 
-The policy-value estimators also need the discounted integral along the
-path, so they advance paths on a global dt grid; within a step, jump times
-are drawn exactly from the exponential clock and split the step, so jumps
-carry no discretisation error.  Diffusion segments get an optional
-Brownian-bridge crossing test between endpoints (an Exp(1) draw per
-segment; the draw is consumed whether or not the correction is enabled, so
-bridge on/off runs share identical randomness path by path).  The counter
-family is sampled exactly, jump by jump, by both kinds of estimator.
+Most estimators need only the passage (tau, X_tau): the transforms L and
+G, the eps-stopping times, the class-D ladder and the policy value in its
+stopped form alpha v/(r - psi(1)) - c/r + E[e^{-r tau} f(V_tau)], which the
+b-sweep uses.  ``policy_value`` also checks that form against the direct
+integral, which the sampler estimates through the resolvent identity
+int_0^tau e^{-rs + X_s} ds = E[sum_{s_i < tau} e^{-r s_i + X_{s_i}} / lam]
+over the marks s_i of an independent Poisson(lam) clock, lam = 4 r.  The
+two forms rest on different identities, so their agreement is a real
+cross-check.
 
 Reproducibility contract: paths are partitioned into fixed batches of
 ``cfg.batch_size``; batch i uses the i-th spawn of SeedSequence(cfg.seed)
@@ -67,16 +68,14 @@ class SimConfig:
     ``horizon`` None resolves to 50 / (r - psi(1)) at the point of use, so
     the discounted truncation error is below e^-50.  ``batch_size`` fixes
     the path partition the reproducibility contract is stated over.
-    ``dt`` and ``bridge_correction`` apply only to the integral estimators
-    (``policy_value``, ``sweep``); the passage-only estimators sample
-    exactly and ignore them.
+    ``dt`` is validated but ignored: every sampler is exact, with no time
+    grid, and the field stays so that existing callers keep working.
     """
 
     n_paths: int
     dt: float = 1e-3
     horizon: Optional[float] = None
     seed: int = 0
-    bridge_correction: bool = True
     batch_size: int = 16384
 
     def __post_init__(self) -> None:
@@ -179,9 +178,9 @@ class PassageRecord:
     ``tau[j]`` is the passage time of level j, or the horizon where the
     path never got there (``hit[j]`` False).  For jump crossings ``x_hit``
     carries the post-jump overshoot value; diffusion crossings sit exactly
-    on the level.  ``disc_exp_int[j]`` is int_0^{tau_j ^ horizon}
-    e^{-r s + X_s} ds and ``final_int`` the same integral at the horizon,
-    both present only when the integral was requested.
+    on the level.  ``disc_exp_int[j]`` is an unbiased per-path estimate of
+    int_0^{tau_j ^ horizon} e^{-r s + X_s} ds and ``final_int`` that of the
+    same integral at the horizon, both present only when it was requested.
     """
 
     tau: np.ndarray
@@ -252,18 +251,23 @@ def _bridge_crossings(rng: np.random.Generator, alpha: np.ndarray,
     return crossed, frac
 
 
-def _event_batch(dyn: _Dynamics, levels: np.ndarray, horizon: float,
+def _event_batch(dyn: _Dynamics, r_disc: float, lam: float,
+                 levels: np.ndarray, horizon: float,
                  abandon_level: Optional[float], rng: np.random.Generator,
                  n: int) -> Tuple[np.ndarray, ...]:
     """Exact first-passage sampler for a diffusion with compound Poisson jumps.
 
-    Each lane steps from jump to jump, with no time grid: it draws the next
-    Exp(a) jump gap (none when a = 0, so a Brownian motion takes a single
-    segment), clips the segment at the horizon and draws its Gaussian
-    endpoint.  ``_bridge_crossings`` tests and times the passage of the
-    next pending level; after a passage the bridge restarts from (tau, l)
-    for the level below, which the Markov property allows.  Then the jump
-    lands and passes every pending level at or above its landing point.
+    Each lane steps from event to event, with no time grid: it draws the
+    next Exp(a + lam) event gap (none when a + lam = 0, so a Brownian
+    motion takes a single segment), clips the segment at the horizon and
+    draws its Gaussian endpoint.  ``_bridge_crossings`` tests and times the
+    passage of the next pending level; after a passage the bridge restarts
+    from (tau, l) for the level below, which the Markov property allows.
+    An event is a mark with probability lam / (a + lam) and a jump
+    otherwise; the uniform that decides is drawn only when both can occur,
+    so lam = 0 reproduces the passage-only draws exactly.  A mark adds
+    e^{-r t + X_t} / lam to the lane's integral while a level is pending.
+    A jump passes every pending level at or above its landing point.
     Lanes retire when every level is passed, at the horizon, or, with
     ``abandon_level`` set, when an event leaves them at or above it.
     """
@@ -271,22 +275,28 @@ def _event_batch(dyn: _Dynamics, levels: np.ndarray, horizon: float,
     tau = np.full((n_levels, n), horizon)
     x_hit = np.zeros((n_levels, n))
     hit = np.zeros((n_levels, n), dtype=bool)
+    a_at = np.zeros((n_levels, n)) if lam > 0 else None
+    a_final = np.zeros(n) if lam > 0 else None
 
     def record(j, lanes, t_cross, x_cross) -> None:
         slot = idx[lanes]
         tau[j, slot] = t_cross
         x_hit[j, slot] = x_cross
         hit[j, slot] = True
+        if a_at is not None:
+            a_at[j, slot] = acc[lanes]
 
     # Compact per-lane state; idx maps lanes back to path slots.
     idx = np.arange(n)
     t = np.zeros(n)
     x = np.zeros(n)
+    acc = np.zeros(n)
     pend = np.zeros(n, dtype=np.int64)
     var = dyn.sigma * dyn.sigma
+    rate = dyn.a + lam
     while idx.size:
         k = idx.size
-        gap = rng.standard_exponential(k) / dyn.a if dyn.a > 0 else math.inf
+        gap = rng.standard_exponential(k) / rate if rate > 0 else math.inf
         t1 = np.minimum(t + gap, horizon)
         delta = t1 - t
         x1 = x + dyn.m * delta + dyn.sigma * np.sqrt(delta) * \
@@ -308,6 +318,14 @@ def _event_batch(dyn: _Dynamics, levels: np.ndarray, horizon: float,
             cas, t0, x0 = lanes[more], t_cross[more], lev[crossed][more]
         t, x = t1, x1
         jumping = np.flatnonzero(t < horizon)
+        if lam > 0 and jumping.size:
+            if dyn.a > 0:
+                is_mark = rng.random(jumping.size) < lam / rate
+                marks, jumping = jumping[is_mark], jumping[~is_mark]
+            else:
+                marks, jumping = jumping, jumping[:0]
+            marks = marks[pend[marks] < n_levels]
+            acc[marks] += np.exp(x[marks] - r_disc * t[marks]) / lam
         if jumping.size:
             x[jumping] += _draw_jumps(dyn, rng, jumping.size)
             lanes, j = _jump_crossings(levels, pend, x, jumping)
@@ -316,157 +334,10 @@ def _event_batch(dyn: _Dynamics, levels: np.ndarray, horizon: float,
         keep = (pend < n_levels) & (t < horizon)
         if abandon_level is not None:
             keep &= x < abandon_level
-        idx, t, x, pend = idx[keep], t[keep], x[keep], pend[keep]
-    return tau, x_hit, hit, None, None
-
-
-def _diffusive_batch(dyn: _Dynamics, r_disc: float, levels: np.ndarray,
-                     horizon: float, dt: float, bridge: bool,
-                     rng: np.random.Generator, n: int) -> Tuple[np.ndarray, ...]:
-    """dt-grid sampler of the passages and the discounted integral.
-
-    The integral int e^{-r s + X_s} ds needs the path between events, so
-    this sampler steps a global dt grid and splits steps at the exact jump
-    times; the trapezoid rule on the grid carries the integral.
-    """
-    n_levels = len(levels)
-    tau = np.full((n_levels, n), horizon)
-    x_hit = np.zeros((n_levels, n))
-    hit = np.zeros((n_levels, n), dtype=bool)
-    a_at = np.zeros((n_levels, n))
-    a_final = np.zeros(n)
-
-    # Compact per-lane state; idx maps lanes back to path slots.  dx caches
-    # the discounted integrand e^{X_s - r s}, so each diffusion segment
-    # costs a single vector exp.
-    idx = np.arange(n)
-    x = np.zeros(n)
-    dx = np.ones(n)
-    acc = np.zeros(n)
-    pend = np.zeros(n, dtype=np.int64)
-    has_jumps = dyn.a > 0
-    next_jump = rng.standard_exponential(n) / dyn.a if has_jumps else None
-    half_var = 0.5 * dyn.sigma * dyn.sigma
-
-    def advance(sel, t0, t1) -> None:
-        """Diffuse from t0 to t1 (scalars or per-lane arrays), cascading.
-
-        ``sel`` None means every live lane.  One normal and one Exp(1) draw
-        per lane are consumed whether or not the bridge correction fires,
-        so runs with it on and off share randomness draw for draw.  The
-        Exp(1) draw is the bridge minimum in disguise: P(min <= l | x0, x1)
-        = exp(-2 (x0-l)(x1-l) / (sigma^2 delta)), so thresholding one
-        shared draw samples the joint crossing indicator across all pending
-        levels from its exact law.  Crossing times are interpolated
-        (linearly for direct crossings, midpoint for bridge catches), which
-        keeps the O(dt) timing bias of the segment-end convention out of
-        the discount factors.
-        """
-        nonlocal x, dx, acc
-        k = idx.size if sel is None else sel.size
-        z = rng.standard_normal(k)
-        expo = rng.standard_exponential(k)
-        scalar_t = np.isscalar(t0)
-        delta = t1 - t0
-        x0 = x if sel is None else x[sel]
-        incr = dyn.m * delta + dyn.sigma * np.sqrt(delta) * z
-        x1 = x0 + incr
-        dx1 = (dx if sel is None else dx[sel]) * np.exp(incr - r_disc * delta)
-        pend_s = pend if sel is None else pend[sel]
-        cas = np.flatnonzero(pend_s < n_levels)
-        floor_t = None
-        while cas.size:
-            lanes = cas if sel is None else sel[cas]
-            lev = levels[pend[lanes]]
-            x0c = x0[cas]
-            x1c = x1[cas]
-            direct = x1c <= lev
-            if bridge:
-                gap = expo[cas] * half_var * (delta if scalar_t
-                                              else delta[cas])
-                crossed = direct | ((~direct) & (gap > (x0c - lev)
-                                                 * (x1c - lev)))
-            else:
-                crossed = direct
-            if not crossed.any():
-                break
-            cpos = cas[crossed]
-            clanes = cpos if sel is None else sel[cpos]
-            t0c = t0 if scalar_t else t0[cpos]
-            deltac = delta if scalar_t else delta[cpos]
-            x0cc = x0[cpos]
-            x1cc = x1[cpos]
-            levc = levels[pend[clanes]]
-            frac = np.where(x1cc <= levc,
-                            (x0cc - levc) / np.maximum(x0cc - x1cc, 1e-300),
-                            0.5)
-            t_cross = t0c + deltac * np.clip(frac, 0.0, 1.0)
-            # Per-path tau must be nondecreasing in depth even when a late
-            # direct crossing is followed by a midpoint bridge catch.
-            if floor_t is None:
-                floor_t = np.zeros(k)
-            else:
-                t_cross = np.maximum(t_cross, floor_t[cpos])
-            floor_t[cpos] = t_cross
-            j = pend[clanes]
-            slot = idx[clanes]
-            tau[j, slot] = t_cross
-            x_hit[j, slot] = levc
-            hit[j, slot] = True
-            a_at[j, slot] = acc[clanes] + (t_cross - t0c) * 0.5 * (
-                dx[clanes] + np.exp(levc - r_disc * t_cross))
-            pend[clanes] += 1
-            cas = cpos[pend[clanes] < n_levels]
-        if sel is None:
-            acc += delta * 0.5 * (dx + dx1)
-            dx = dx1
-            x = x1
-        else:
-            acc[sel] += delta * 0.5 * (dx[sel] + dx1)
-            dx[sel] = dx1
-            x[sel] = x1
-
-    t = 0.0
-    while idx.size and t < horizon:
-        t_end = min(t + dt, horizon)
-        seg_t = None
-        if has_jumps:
-            due = np.flatnonzero(next_jump <= t_end)
-            if due.size:
-                seg_t = np.full(idx.size, t)
-                while due.size:
-                    advance(due, seg_t[due], next_jump[due])
-                    seg_t[due] = next_jump[due]
-                    jumps = _draw_jumps(dyn, rng, due.size)
-                    x[due] += jumps
-                    dx[due] *= np.exp(jumps)
-                    lanes, j = _jump_crossings(levels, pend, x, due)
-                    if lanes.size:
-                        slot = idx[lanes]
-                        tau[j, slot] = seg_t[lanes]
-                        x_hit[j, slot] = x[lanes]
-                        hit[j, slot] = True
-                        a_at[j, slot] = acc[lanes]
-                    next_jump[due] += rng.standard_exponential(due.size) / dyn.a
-                    due = due[next_jump[due] <= t_end]
-        if seg_t is None:
-            advance(None, t, t_end)
-        else:
-            advance(None, seg_t, t_end)
-        t = t_end
-        retire = pend >= n_levels
-        if retire.any():
-            a_final[idx[retire]] = acc[retire]
-            keep = ~retire
-            idx = idx[keep]
-            x = x[keep]
-            pend = pend[keep]
-            dx = dx[keep]
-            acc = acc[keep]
-            if has_jumps:
-                next_jump = next_jump[keep]
-    if idx.size:
-        a_final[idx] = acc
+        if a_final is not None:
+            a_final[idx[~keep]] = acc[~keep]
+        idx, t, x, acc, pend = idx[keep], t[keep], x[keep], acc[keep], \
+            pend[keep]
     return tau, x_hit, hit, a_at, a_final
 
 
@@ -523,13 +394,21 @@ def _all_miss_batch(levels: np.ndarray, horizon: float, n: int
             np.zeros((n_levels, n), dtype=bool), None, None)
 
 
+# Rate of the mark clock per unit of r.  Over 100 seeds of the AC-3 start
+# points, the direct form missed the closed form by 3 SE or more in 3 runs
+# at rate r, 1 at 4 r and 8 at 16 r: more marks bring out the heavy tail of
+# the integral itself, whose sample SE then understates the error.
+_MARK_RATE = 4.0
+
+
 def _simulate_levels(dyn: _Dynamics, r_disc: float, levels: Sequence[float],
                      horizon: float, cfg: SimConfig, want_integral: bool,
                      abandon_level: Optional[float] = None) -> PassageRecord:
     """Passages of a descending ladder of levels, batch by batch.
 
-    Requests with ``want_integral`` run on the dt grid; passage-only ones
-    use the exact event sampler, which alone reads ``abandon_level``.
+    Requests with ``want_integral`` run the event sampler with a mark clock
+    of rate ``_MARK_RATE * r_disc``; passage-only ones run it without one.
+    Only the event sampler reads ``abandon_level``.
     """
     levels_arr = np.asarray(levels, dtype=float)
     if levels_arr.ndim != 1 or levels_arr.size == 0:
@@ -541,6 +420,7 @@ def _simulate_levels(dyn: _Dynamics, r_disc: float, levels: Sequence[float],
     if dyn.sigma == 0 and dyn.kind not in ("unit_down", "unit_up"):
         raise ValueError("pure-drift dynamics are not supported")
 
+    lam = _MARK_RATE * r_disc if want_integral else 0.0
     n = cfg.n_paths
     n_levels = levels_arr.size
     sizes = [cfg.batch_size] * (n // cfg.batch_size)
@@ -563,12 +443,9 @@ def _simulate_levels(dyn: _Dynamics, r_disc: float, levels: Sequence[float],
         elif dyn.sigma == 0 and dyn.kind == "unit_up":
             # Nondecreasing paths never reach a negative level.
             out = _all_miss_batch(levels_arr, horizon, sizes[i])
-        elif want_integral:
-            out = _diffusive_batch(dyn, r_disc, levels_arr, horizon, cfg.dt,
-                                   cfg.bridge_correction, rng, sizes[i])
         else:
-            out = _event_batch(dyn, levels_arr, horizon, abandon_level, rng,
-                               sizes[i])
+            out = _event_batch(dyn, r_disc, lam, levels_arr, horizon,
+                               abandon_level, rng, sizes[i])
         lo, hi = offsets[i], offsets[i + 1]
         tau[:, lo:hi], x_hit[:, lo:hi], hit[:, lo:hi] = out[0], out[1], out[2]
         if want_integral:
@@ -631,8 +508,9 @@ def simulate_hit(model: LevyModel, r: float, x_level: float,
 class PolicyValue:
     """The stop-at-b policy value estimated two ways.
 
-    ``direct`` integrates e^{-rs} (alpha V_s - c) along each path;
-    ``stopped`` uses the equivalent stopped form
+    ``direct`` integrates e^{-rs} (alpha V_s - c) along each path, the
+    part in V_s through the resolvent marks (in closed form for the counter
+    family); ``stopped`` uses the equivalent stopped form
     alpha v/(r - psi(1)) - c/r + E[e^{-r tau} f(V_tau)].  Disagreement
     beyond 4 joint standard errors (``reconciled`` False) flags a bug.
     """
@@ -648,19 +526,16 @@ class PolicyValue:
         return abs(self.diff_mean) <= 4.0 * self.diff_se
 
 
-def _policy_values(spec: ProblemSpec, record: PassageRecord, j: int
-                   ) -> Tuple[np.ndarray, np.ndarray]:
+def _stopped_values(spec: ProblemSpec, record: PassageRecord,
+                    j: int) -> np.ndarray:
+    """Per-path stopped-form policy values for level j of ``record``."""
     r, alpha, c, v = spec.r, spec.alpha, spec.c, spec.v
     growth = spec.psi1
-    tau = record.tau[j]
-    hit = record.hit[j]
-    integral = np.where(hit, record.disc_exp_int[j], record.final_int)
-    direct = alpha * v * integral - c * (1.0 - np.exp(-r * tau)) / r
     v_stop = v * np.exp(record.x_hit[j])
     f_stop = -alpha * v_stop / (r - growth) + c / r
-    stopped = (alpha * v / (r - growth) - c / r
-               + np.where(hit, np.exp(-r * tau) * f_stop, 0.0))
-    return direct, stopped
+    return (alpha * v / (r - growth) - c / r
+            + np.where(record.hit[j], np.exp(-r * record.tau[j]) * f_stop,
+                       0.0))
 
 
 def policy_value(spec: ProblemSpec, b: float, cfg: SimConfig) -> PolicyValue:
@@ -675,7 +550,11 @@ def policy_value(spec: ProblemSpec, b: float, cfg: SimConfig) -> PolicyValue:
     horizon = _resolve_horizon(cfg, spec.r, spec.psi1)
     record = _simulate_levels(dyn, spec.r, [math.log(b / spec.v)], horizon,
                               cfg, want_integral=True)
-    direct, stopped = _policy_values(spec, record, 0)
+    stopped = _stopped_values(spec, record, 0)
+    integral = np.where(record.hit[0], record.disc_exp_int[0],
+                        record.final_int)
+    direct = (spec.alpha * spec.v * integral
+              - spec.c * (1.0 - np.exp(-spec.r * record.tau[0])) / spec.r)
     truncated = 1.0 - float(np.mean(record.hit[0]))
     diff = direct - stopped
     diff_se = (float(np.std(diff, ddof=1) / math.sqrt(diff.size))
@@ -689,9 +568,10 @@ def policy_value(spec: ProblemSpec, b: float, cfg: SimConfig) -> PolicyValue:
 class SweepResult:
     """Common-random-numbers policy sweep over an ascending b grid.
 
-    ``values`` holds the per-path direct estimates, one row per b, enabling
-    paired comparisons: ``flat`` marks levels whose deficit to the argmax
-    is within one paired standard error.
+    ``values`` holds the per-path policy values in stopped form, one row
+    per b, all from one path set, enabling paired comparisons: ``flat``
+    marks levels whose deficit to the argmax is within one paired standard
+    error.
     """
 
     b_grid: np.ndarray
@@ -727,10 +607,9 @@ def sweep(spec: ProblemSpec, b_grid: Sequence[float],
         dyn = _Dynamics.from_model(spec.model)
         horizon = _resolve_horizon(cfg, spec.r, spec.psi1)
         record = _simulate_levels(dyn, spec.r, levels, horizon, cfg,
-                                  want_integral=True)
+                                  want_integral=False)
         for pos, orig in enumerate(act_idx):
-            direct, _ = _policy_values(spec, record, pos)
-            values[orig] = direct
+            values[orig] = _stopped_values(spec, record, pos)
             truncated[orig] = 1.0 - float(np.mean(record.hit[pos]))
     estimates = [_estimate(values[i], truncated[i])
                  for i in range(grid.size)]

@@ -39,7 +39,8 @@ def test_thread_count_does_not_change_results(monkeypatch):
     def run():
         return (sweep(BM_SPEC, [0.2, 0.3, 0.5], cfg),
                 hitting_estimates(KOU, 1.0, [-0.2, -0.6], cfg),
-                class_d_diagnostic(KOU, 1.0, [2, 4], cfg).estimates)
+                class_d_diagnostic(KOU, 1.0, [2, 4], cfg).estimates,
+                policy_value(BM_SPEC, 0.3, cfg))
 
     monkeypatch.delenv("LEVYSTOP_THREADS", raising=False)
     serial = run()
@@ -62,26 +63,6 @@ def test_batch_partition_fixes_the_stream():
         BM, 1.0, -0.3, cfg_b)
 
 
-def test_bridge_catches_earlier_pathwise():
-    # batch_size=1 keeps the draw streams aligned between the two runs.
-    # Only the integral estimators step a dt grid and read the flag.
-    dyn = mc._Dynamics.from_model(BM)
-    levels = np.array([-0.3, -0.8])
-    kw = dict(horizon=5.0, want_integral=True)
-    on = mc._simulate_levels(
-        dyn, 1.0, levels, cfg=SimConfig(n_paths=64, dt=0.05, seed=77,
-                                        bridge_correction=True,
-                                        batch_size=1), **kw)
-    off = mc._simulate_levels(
-        dyn, 1.0, levels, cfg=SimConfig(n_paths=64, dt=0.05, seed=77,
-                                        bridge_correction=False,
-                                        batch_size=1), **kw)
-    assert np.all(on.tau <= off.tau + 1e-12)
-    assert np.all(on.hit >= off.hit)
-    # at this coarse dt the bridge must catch something the grid misses
-    assert np.any(on.tau < off.tau - 1e-12)
-
-
 def test_passage_times_monotone_in_depth():
     dyn = mc._Dynamics.from_model(BM)
     levels = np.array([-0.2, -0.5, -1.0])
@@ -95,17 +76,21 @@ def test_passage_times_monotone_in_depth():
         assert np.all(record.x_hit[j][record.hit[j]] == lev)
 
 
-def test_passage_only_estimators_ignore_dt_and_bridge():
+def test_every_estimator_ignores_dt():
     res = threshold(BM_SPEC)
+    kou_spec = ProblemSpec(model=KOU, r=1.0, alpha=1.0, c=1.0, v=1.0)
     runs = []
-    for dt, bridge in ((1e-3, True), (4e-3, True), (1e-3, False)):
-        cfg = SimConfig(n_paths=1500, dt=dt, horizon=8.0, seed=13,
-                        bridge_correction=bridge)
+    for dt in (1e-3, 4e-3):
+        cfg = SimConfig(n_paths=1500, dt=dt, horizon=8.0, seed=13)
         eps = epsilon_stop_paths(BM_SPEC, res, [1e-1, 1e-2], cfg)
+        swept = sweep(BM_SPEC, [0.2, 0.3, 0.5], cfg)
         runs.append((hitting_estimates(KOU, 1.0, [-0.2, -0.6], cfg),
                      class_d_diagnostic(KOU, 1.0, [2, 4], cfg).estimates,
-                     eps.estimates, eps.tau.tobytes()))
-    assert runs[0] == runs[1] == runs[2]
+                     eps.estimates, eps.tau.tobytes(),
+                     policy_value(BM_SPEC, 0.3, cfg),
+                     policy_value(kou_spec, 0.5, cfg),
+                     swept.estimates, swept.values.tobytes()))
+    assert runs[0] == runs[1]
 
 
 def test_equal_levels_are_passed_together():
@@ -214,6 +199,24 @@ def test_hitting_estimates_preserve_input_order():
     assert shallow_first[0] == deep_first[1]
     assert shallow_first[1] == deep_first[0]
     assert shallow_first[0][0].mean > shallow_first[1][0].mean
+
+
+def test_resolvent_integral_matches_its_mean_at_the_horizon():
+    # A level out of reach leaves every path alive at T, where
+    # E[int_0^T e^{-rs + X_s} ds] = (1 - e^{(psi(1) - r) T}) / (r - psi(1)).
+    r, horizon = 1.0, 2.0
+    cfg = SimConfig(n_paths=20000, horizon=horizon, seed=57)
+    for model in (BM, KOU, SpectNegKou(m=0.1, sigma=0.7, a=0.9, eta2=1.8)):
+        record = mc._simulate_levels(mc._Dynamics.from_model(model), r,
+                                     [-40.0], horizon, cfg,
+                                     want_integral=True)
+        assert not record.hit.any()
+        gap = r - psi(model, 1.0)
+        want = (1.0 - math.exp(-gap * horizon)) / gap
+        se = float(np.std(record.final_int, ddof=1)) / math.sqrt(
+            cfg.n_paths)
+        assert abs(float(np.mean(record.final_int)) - want) < 4.0 * se, \
+            model.family
 
 
 def test_policy_value_reconciles_and_matches_analytic():
