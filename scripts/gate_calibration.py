@@ -1,19 +1,23 @@
 #!/usr/bin/env python3
-"""Run the Monte Carlo acceptance criteria AC-2, AC-3 and AC-9 over many seeds.
+"""Run the MC acceptance criteria AC-2, AC-3, AC-4 and AC-9 over many seeds.
 
 Not part of the release gate.  Each run repeats one criterion of
 tests/test_acceptance.py with the gate's specs and budgets; run s gives its
 i-th simulation the seed 10 s + i, so run 2 is the committed AC-2, run 3
 the committed AC-3 and run 6 the committed AC-9, and no two runs share a
-stream.  The committed run comes first, then the calibration runs.  For
-each statistic the script prints its mean, SD and worst value over the
-calibration runs, and the share of runs that fail the gate's test:
+stream.  AC-4, like the gate, gives all five families the seed 10 s, so
+run 4 is the committed AC-4.  The committed run comes first, then the
+calibration runs.  For each statistic the script prints its mean, SD and
+worst value over the calibration runs, and the share of runs that fail the
+gate's test:
 
 * AC-2, per family: the paired deficit of B_c to the argmax in standard
   errors (the plateau must contain B_c) and the plateau width in grid
   points;
 * AC-3, per start point: z of the direct and the stopped form against the
   closed form (|z| < 3) and whether the two forms reconcile;
+* AC-4, per family: the largest |z| of the closed-form L and G against
+  ``hitting_estimates`` over the five gate levels (|z| < 3);
 * AC-9: z of the mean capped passage time at eps = 1e-4 against B_c, after
   the quadrature offset (|z| < 3), and for reference the same z without
   it, which the gate no longer tests.
@@ -37,7 +41,9 @@ from scipy.integrate import quad
 
 from levystop import mc
 from levystop.engine import threshold, value_function
-from levystop.models import (BrownianDrift, KouJD, NegPoisson, ProblemSpec)
+from levystop.models import (BrownianDrift, ExpJD, KouJD, NegPoisson,
+                             ProblemSpec, SpectNegKou)
+from levystop.transforms import HittingTransforms
 
 BM = BrownianDrift(m=0.0, sigma=1.0)
 BM_SPEC = ProblemSpec(model=BM, r=1.0, alpha=1.0, c=1.0, v=1.0)
@@ -46,7 +52,16 @@ KOU_SPEC = ProblemSpec(model=KouJD(m=-0.2, sigma=0.3, a=0.5, p=0.4,
                        r=1.0, alpha=1.0, c=1.0, v=2.6)
 NP_SPEC = ProblemSpec(model=NegPoisson(a=1.0), r=0.5, alpha=1.0, c=1.0,
                       v=3.2)
-COMMITTED = {"ac2": 2, "ac3": 3, "ac9": 6}
+COMMITTED = {"ac2": 2, "ac3": 3, "ac4": 4, "ac9": 6}
+AC4_LEVELS = [-0.15, -0.4, -0.8, -1.1, -1.5]
+AC4_CASES = (  # family, model, r, paths, horizon
+    ("brownian", BrownianDrift(m=-0.5, sigma=1.0), 2.0, 1000000, 6.0),
+    ("neg_poisson", NegPoisson(a=1.5), 0.3, 1000000, 60.0),
+    ("kou", KOU_SPEC.model, 1.0, 100000, 10.0),
+    ("expjd", ExpJD(m=-0.3, sigma=0.8, a=0.8, eta1=2.5), 2.0, 100000, 5.0),
+    ("spectneg_kou", SpectNegKou(m=0.1, sigma=0.7, a=0.9, eta2=1.8), 2.0,
+     100000, 5.0),
+)
 
 
 def ac2(run):
@@ -88,6 +103,20 @@ def ac3(run):
     return out
 
 
+def ac4(run):
+    """Per family: largest |z| of L and G over the levels; fails at 3."""
+    out = {}
+    for name, model, r, n_paths, horizon in AC4_CASES:
+        transforms = HittingTransforms(model, r)
+        estimates = mc.hitting_estimates(model, r, AC4_LEVELS, mc.SimConfig(
+            n_paths=n_paths, horizon=horizon, seed=10 * run))
+        z = max(max(abs(est_l.mean - transforms.L(x)) / est_l.std_error,
+                    abs(est_g.mean - transforms.G(x)) / est_g.std_error)
+                for x, (est_l, est_g) in zip(AC4_LEVELS, estimates))
+        out[f"{name} max |z|"] = (z, z >= 3.0)
+    return out
+
+
 def _capped_mean(b):
     """E[min(tau_b, 60)] for the driftless unit-volatility BM from 1."""
     return quad(lambda t: math.erf(abs(math.log(b)) / math.sqrt(2.0 * t)),
@@ -116,13 +145,13 @@ def ac9(run):
             "z without offset": (raw, None)}
 
 
-CRITERIA = {"ac2": ac2, "ac3": ac3, "ac9": ac9}
+CRITERIA = {"ac2": ac2, "ac3": ac3, "ac4": ac4, "ac9": ac9}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--criteria", default="ac2,ac3,ac9",
-                        help="comma-separated subset of ac2,ac3,ac9")
+    parser.add_argument("--criteria", default="ac2,ac3,ac4,ac9",
+                        help="comma-separated subset of ac2,ac3,ac4,ac9")
     parser.add_argument("--first-seed", type=int, default=1001,
                         help="first calibration run")
     parser.add_argument("--seeds", type=int, default=20,

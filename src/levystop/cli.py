@@ -24,7 +24,7 @@ from .mc import SimConfig, policy_value, sweep
 from .models import (AssumptionError, LevyModel, ProblemSpec,
                      assumption_report, has_phi, model_from_dict, phi, psi1,
                      spec_from_dict)
-from .roots import kou_roots
+from .roots import real_roots
 from .scale import ScaleFunction
 
 
@@ -51,11 +51,22 @@ def _load_model(path: str) -> LevyModel:
     return model_from_dict(doc)
 
 
+def finite_float(text: str) -> float:
+    """argparse type for numeric flags: NaN and infinities are input errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got "
+                                         f"{text!r}")
+    return value
+
+
 def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must look like 'a:b:n', got {text!r}")
     lo, hi = float(parts[0]), float(parts[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"grid ends must be finite, got {text!r}")
     n = int(parts[2])
     if n < 2:
         raise ValueError("grid needs at least 2 points")
@@ -109,8 +120,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         "family": model.family,
         "psi1": psi1(model),
         "phi_r": phi(model, spec.r) if has_phi(model) else None,
-        "roots": (list(kou_roots(model, spec.r).ordered())
-                  if model.poles else None),
+        "roots": list(real_roots(model, spec.r)) if model.poles else None,
         "assumptions": {
             "finite_mean": report.finite_mean,
             "discounting": report.discounting,
@@ -197,10 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
         if sim:
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--paths", type=int, default=20000)
-            p.add_argument("--dt", type=float, default=1e-3,
+            p.add_argument("--dt", type=finite_float, default=1e-3,
                            help="accepted for compatibility; the samplers "
                                 "are exact and ignore it")
-            p.add_argument("--horizon", type=float, default=None)
+            p.add_argument("--horizon", type=finite_float, default=None)
 
     p = sub.add_parser("inspect", help="exponent, roots, assumption report")
     common(p)
@@ -222,14 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scale-fn", help="tabulate W, W', Z as CSV")
     common(p)
-    p.add_argument("--q", type=float, required=True,
+    p.add_argument("--q", type=finite_float, required=True,
                    help="transform argument q > 0")
     p.add_argument("--grid", required=True, help="x grid as 'a:b:n'")
     p.set_defaults(func=cmd_scale_fn)
 
     p = sub.add_parser("simulate", help="MC policy value at one b as JSON")
     common(p, sim=True)
-    p.add_argument("--b", type=float, default=None,
+    p.add_argument("--b", type=finite_float, default=None,
                    help="stopping level for the policy")
     p.set_defaults(func=cmd_simulate)
     return parser

@@ -170,10 +170,15 @@ class ConvexityReport:
         return self.convex_ok and self.tangency_ok
 
 
+# The convexity check samples s on this many points of (B_c, span * B_c]
+# and accepts a smooth-fit gap below the tolerance.
+_CONVEXITY_GRID = 1000
+_CONVEXITY_SPAN = 10.0
+_TANGENCY_TOL = 1e-6
+
+
 def convexity_report(spec: ProblemSpec,
                      result: Optional[ThresholdResult] = None, *,
-                     n_grid: int = 1000, span: float = 10.0,
-                     tangency_tol: float = 1e-6,
                      on_failure: str = "raise") -> ConvexityReport:
     """Check convexity of s beyond B_c and the smooth-fit tangency.
 
@@ -190,7 +195,8 @@ def convexity_report(spec: ProblemSpec,
         raise ValueError("convexity diagnostics apply to the G-continuous "
                          f"regime; {spec.model.family} is {vf.result.regime}")
     b_c = vf.b_c
-    g_vals = vf.s(np.linspace(b_c, span * b_c, n_grid + 1)[1:])
+    g_vals = vf.s(np.linspace(b_c, _CONVEXITY_SPAN * b_c,
+                              _CONVEXITY_GRID + 1)[1:])
     second = g_vals[2:] - 2.0 * g_vals[1:-1] + g_vals[:-2]
     min_second = float(np.min(second))
 
@@ -203,7 +209,7 @@ def convexity_report(spec: ProblemSpec,
     report = ConvexityReport(family=spec.model.family, b_c=b_c,
                              min_second_diff=min_second, tangency_gap=gap,
                              convex_ok=min_second > 0.0,
-                             tangency_ok=gap < tangency_tol)
+                             tangency_ok=gap < _TANGENCY_TOL)
     if not report.ok and on_failure == "raise":
         raise ArithmeticError(f"optimality hypotheses failed at B_c={b_c}: "
                               f"min second difference {min_second}, "

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -83,8 +83,9 @@ class SimConfig:
             raise ValueError("n_paths must be at least 1")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.horizon is not None and self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if self.horizon is not None and not 0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite, got "
+                             f"{self.horizon}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
 
@@ -130,45 +131,43 @@ def _thread_count() -> int:
 class _Dynamics:
     """Simulation-level description of X, decoupled from model validation.
 
-    ``kind`` picks the jump mechanism: none, two (double exponential), up
-    or down (one-sided exponential), unit_down or unit_up (Poisson counter).
-    The class-D diagnostic simulates rt - X, which ``mirrored`` produces
-    even when the mirror image is not a constructible model family.
+    A diffusion ``m t + sigma B_t`` plus jumps at rate ``a``.  Each jump is
+    ``unit`` for a unit-jump counter (-1 down, +1 up) and otherwise drawn
+    from the exponential ``phases`` of the model, (probability, signed rate)
+    pairs.  The class-D diagnostic simulates rt - X, which ``mirrored``
+    produces even when the mirror image is not a constructible model family.
     """
 
-    kind: str
-    m: float = 0.0
-    sigma: float = 0.0
-    a: float = 0.0
-    p: float = 0.0
-    eta1: float = 1.0
-    eta2: float = 1.0
+    m: float
+    sigma: float
+    a: float
+    phases: Tuple[Tuple[float, float], ...]
+    unit: float
 
     @staticmethod
     def from_model(model: LevyModel) -> "_Dynamics":
-        return _Dynamics(kind=model.jump_kind, **asdict(model))
+        if model.diffusive:
+            return _Dynamics(model.m, model.sigma, model.a, model.phases, 0.0)
+        return _Dynamics(0.0, 0.0, model.a, (), -1.0)
 
     def mirrored(self, drift: float) -> "_Dynamics":
         """Dynamics of Y_t = drift * t - X_t (up and down jumps swap)."""
-        flip = {"none": "none", "two": "two", "up": "down", "down": "up",
-                "unit_down": "unit_up", "unit_up": "unit_down"}
-        return _Dynamics(m=drift - self.m, sigma=self.sigma, a=self.a,
-                         kind=flip[self.kind],
-                         p=1.0 - self.p if self.kind == "two" else self.p,
-                         eta1=self.eta2, eta2=self.eta1)
+        return _Dynamics(drift - self.m, self.sigma, self.a,
+                         tuple((p, -rate) for p, rate in self.phases[::-1]),
+                         -self.unit)
 
 
 def _draw_jumps(dyn: _Dynamics, rng: np.random.Generator,
                 k: int) -> np.ndarray:
-    if dyn.kind == "two":
-        up = rng.random(k) < dyn.p
-        mag = rng.standard_exponential(k)
-        return np.where(up, mag / dyn.eta1, -mag / dyn.eta2)
-    if dyn.kind == "up":
-        return rng.standard_exponential(k) / dyn.eta1
-    if dyn.kind == "down":
-        return -rng.standard_exponential(k) / dyn.eta2
-    raise ValueError(f"unknown jump kind {dyn.kind!r}")
+    """k jump sizes Exp(1) / rate, each from a phase picked by probability.
+
+    The uniform that picks the phase is drawn only when there is a choice.
+    """
+    probs = [p for p, _ in dyn.phases]
+    rates = np.array([rate for _, rate in dyn.phases])
+    pick = (np.searchsorted(np.cumsum(probs[:-1]), rng.random(k),
+                            side="right") if len(probs) > 1 else 0)
+    return rng.standard_exponential(k) / rates[pick]
 
 
 @dataclass
@@ -417,7 +416,7 @@ def _simulate_levels(dyn: _Dynamics, r_disc: float, levels: Sequence[float],
         raise ValueError("passage levels must be negative")
     if np.any(np.diff(levels_arr) > 0):
         raise ValueError("levels must be sorted descending (shallowest first)")
-    if dyn.sigma == 0 and dyn.kind not in ("unit_down", "unit_up"):
+    if dyn.sigma == 0 and not dyn.unit:
         raise ValueError("pure-drift dynamics are not supported")
 
     lam = _MARK_RATE * r_disc if want_integral else 0.0
@@ -437,10 +436,10 @@ def _simulate_levels(dyn: _Dynamics, r_disc: float, levels: Sequence[float],
 
     def run(i: int) -> None:
         rng = np.random.Generator(np.random.Philox(children[i]))
-        if dyn.kind == "unit_down":
+        if dyn.unit < 0:
             out = _unit_down_batch(dyn, r_disc, levels_arr, horizon,
                                    want_integral, rng, sizes[i])
-        elif dyn.sigma == 0 and dyn.kind == "unit_up":
+        elif dyn.unit > 0:
             # Nondecreasing paths never reach a negative level.
             out = _all_miss_batch(levels_arr, horizon, sizes[i])
         else:
@@ -451,7 +450,7 @@ def _simulate_levels(dyn: _Dynamics, r_disc: float, levels: Sequence[float],
         if want_integral:
             if out[3] is None or out[4] is None:
                 raise ValueError("integral functional unavailable for "
-                                 f"{dyn.kind} dynamics")
+                                 "nondecreasing dynamics")
             a_at[:, lo:hi] = out[3]
             a_final[lo:hi] = out[4]
 
@@ -738,17 +737,14 @@ def sample_increment(model: LevyModel, t: float, n: int,
     dyn = _Dynamics.from_model(model)
     x = dyn.m * t + dyn.sigma * math.sqrt(t) * rng.standard_normal(n)
     if dyn.a > 0:
+        # Successive binomials split the jump count over the phases.
         counts = rng.poisson(dyn.a * t, n)
-        if dyn.kind == "two":
-            ups = rng.binomial(counts, dyn.p)
-            x = x + (rng.standard_gamma(ups) / dyn.eta1
-                     - rng.standard_gamma(counts - ups) / dyn.eta2)
-        elif dyn.kind == "up":
-            x = x + rng.standard_gamma(counts) / dyn.eta1
-        elif dyn.kind == "down":
-            x = x - rng.standard_gamma(counts) / dyn.eta2
-        elif dyn.kind == "unit_down":
-            x = x - counts
-        else:
-            x = x + counts
+        jumps = dyn.unit * counts
+        left, mass = counts, 1.0
+        for i, (p, rate) in enumerate(dyn.phases):
+            k = (left if i == len(dyn.phases) - 1
+                 else rng.binomial(left, p / mass))
+            jumps = jumps + rng.standard_gamma(k) / rate
+            left, mass = left - k, mass - p
+        x = x + jumps
     return x

@@ -11,13 +11,16 @@ Levy model for the asset log-price X:
 * ``NegPoisson``     -- X_t = -N_t for a unit-jump Poisson counter
 * ``SpectNegKou``    -- the one-sided Kou variant with downward jumps only
 
+The four diffusive families share one core, ``PhaseJumpDiffusion``: a
+diffusion plus jumps from a mixture of exponential phases.
+
 The Laplace exponent ``psi`` satisfies E[exp(lam X_t)] = exp(t psi(lam)).
 Each class is the one definition of its family that every other module
 reads: ``exponent``/``exponent_prime`` (psi and psi' for real, array or
 complex arguments, continued through the poles with no domain checks),
 ``poles`` (ascending: -eta2 for downward jumps, eta1 for upward ones),
-``diffusive`` (has a Brownian part), ``jump_kind`` (the jump-size law the
-simulator draws, from the parameters as named here) and ``class_d_note``.
+``diffusive`` (has a Brownian part), ``phases`` (the jump-size law the
+simulator draws; the counter has none) and ``class_d_note``.
 Everything downstream (characteristic roots, hitting transforms, thresholds)
 is driven by these and the standing assumptions collected in
 ``assumption_report``:
@@ -29,6 +32,7 @@ is driven by these and the standing assumptions collected in
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import ClassVar, Tuple, Union
 
@@ -44,6 +48,7 @@ __all__ = [
     "KouJD",
     "LevyModel",
     "NegPoisson",
+    "PhaseJumpDiffusion",
     "ProblemSpec",
     "SpectNegKou",
     "assumption_report",
@@ -67,33 +72,67 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
+class PhaseJumpDiffusion:
+    """Shared core of the diffusive families: a phase-type jump diffusion.
+
+    X_t = m t + sigma B_t plus compound Poisson jumps at rate ``a``, each
+    drawn from a mixture of exponential phases.  ``phases`` lists
+    (probability, signed rate) pairs, up phases first: (p, eta) jumps up by
+    Exp(eta) and (q, -theta) jumps down by Exp(theta).  Each phase adds
+    a p z / (rate - z) to the exponent, a form with no cancellation near
+    z = 0, and puts a pole at its rate.  A family's ``__post_init__``
+    validates its fields and calls ``_fix_phases`` once; the phase tables
+    are plain attributes, not dataclass fields, so ``asdict`` returns the
+    JSON fields only.
+    """
+
+    diffusive: ClassVar[bool] = True
+    phases: Tuple[Tuple[float, float], ...]
+    poles: Tuple[float, ...]
+
+    def _fix_phases(self, *phases: Tuple[float, float]) -> None:
+        object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "poles",
+                           tuple(sorted([rate for _, rate in phases])))
+        # sigma^2 and each a p are stored because root solves call the
+        # exponent dozens of times per spec.
+        object.__setattr__(self, "_var", self.sigma**2)
+        object.__setattr__(self, "_weighted",
+                           tuple([(self.a * p, rate) for p, rate in phases]))
+
+    def exponent(self, z):
+        out = self.m * z + 0.5 * self._var * z * z
+        for weight, rate in self._weighted:
+            out = out + weight * z / (rate - z)
+        return out
+
+    def exponent_prime(self, z):
+        out = self.m + self._var * z
+        for weight, rate in self._weighted:
+            out = out + weight * rate / (rate - z) ** 2
+        return out
+
+
 @dataclass(frozen=True)
-class BrownianDrift:
+class BrownianDrift(PhaseJumpDiffusion):
     """Arithmetic Brownian motion with drift ``m`` and volatility ``sigma``."""
 
     m: float
     sigma: float
 
     family: ClassVar[str] = "brownian"
-    jump_kind: ClassVar[str] = "none"
-    diffusive: ClassVar[bool] = True
-    poles: ClassVar[Tuple[float, ...]] = ()
+    a: ClassVar[float] = 0.0
     class_d_note: ClassVar[str] = (
         "discounted-excursion bound decays like n**(1 - 2r/sigma^2 "
         "adjusted rate); holds whenever r > psi(1)")
 
     def __post_init__(self) -> None:
         _require(self.sigma > 0, "sigma must be positive")
-
-    def exponent(self, z):
-        return self.m * z + 0.5 * self.sigma**2 * z * z
-
-    def exponent_prime(self, z):
-        return self.m + self.sigma**2 * z
+        self._fix_phases()
 
 
 @dataclass(frozen=True)
-class KouJD:
+class KouJD(PhaseJumpDiffusion):
     """Double-exponential jump diffusion.
 
     Jumps arrive at rate ``a``; a jump is +Exp(eta1) with probability ``p``
@@ -110,8 +149,6 @@ class KouJD:
     eta2: float
 
     family: ClassVar[str] = "kou"
-    jump_kind: ClassVar[str] = "two"
-    diffusive: ClassVar[bool] = True
     class_d_note: ClassVar[str] = (
         "smallest positive characteristic root exceeds 1 under r > psi(1), "
         "so the upward-passage bound decays like a negative power")
@@ -124,24 +161,11 @@ class KouJD:
                  "SpectNegKou (p = 0) for one-sided jumps")
         _require(self.eta1 > 1, "eta1 must exceed 1 so E[exp(X_t)] is finite")
         _require(self.eta2 > 0, "eta2 must be positive")
-
-    @property
-    def poles(self) -> Tuple[float, ...]:
-        return (-self.eta2, self.eta1)
-
-    def exponent(self, z):
-        return (self.m * z + 0.5 * self.sigma**2 * z * z
-                + self.a * (self.eta1 * self.p / (self.eta1 - z)
-                            + self.eta2 * (1 - self.p) / (self.eta2 + z) - 1))
-
-    def exponent_prime(self, z):
-        return (self.m + self.sigma**2 * z
-                + self.a * (self.eta1 * self.p / (self.eta1 - z) ** 2
-                            - self.eta2 * (1 - self.p) / (self.eta2 + z)**2))
+        self._fix_phases((self.p, self.eta1), (1.0 - self.p, -self.eta2))
 
 
 @dataclass(frozen=True)
-class ExpJD:
+class ExpJD(PhaseJumpDiffusion):
     """Jump diffusion with upward exponential(eta1) jumps only."""
 
     m: float
@@ -150,8 +174,6 @@ class ExpJD:
     eta1: float
 
     family: ClassVar[str] = "expjd"
-    jump_kind: ClassVar[str] = "up"
-    diffusive: ClassVar[bool] = True
     class_d_note: ClassVar[str] = (
         "same positive-root argument as the two-sided jump diffusion")
 
@@ -159,18 +181,7 @@ class ExpJD:
         _require(self.sigma > 0, "sigma must be positive")
         _require(self.a > 0, "jump intensity a must be positive")
         _require(self.eta1 > 1, "eta1 must exceed 1 so E[exp(X_t)] is finite")
-
-    @property
-    def poles(self) -> Tuple[float, ...]:
-        return (self.eta1,)
-
-    def exponent(self, z):
-        return (self.m * z + 0.5 * self.sigma**2 * z * z
-                + self.a * z / (self.eta1 - z))
-
-    def exponent_prime(self, z):
-        return (self.m + self.sigma**2 * z
-                + self.a * self.eta1 / (self.eta1 - z) ** 2)
+        self._fix_phases((1.0, self.eta1))
 
 
 @dataclass(frozen=True)
@@ -180,7 +191,6 @@ class NegPoisson:
     a: float
 
     family: ClassVar[str] = "neg_poisson"
-    jump_kind: ClassVar[str] = "unit_down"
     diffusive: ClassVar[bool] = False
     poles: ClassVar[Tuple[float, ...]] = ()
     class_d_note: ClassVar[str] = (
@@ -198,7 +208,7 @@ class NegPoisson:
 
 
 @dataclass(frozen=True)
-class SpectNegKou:
+class SpectNegKou(PhaseJumpDiffusion):
     """Jump diffusion with downward exponential(eta2) jumps only."""
 
     m: float
@@ -207,8 +217,6 @@ class SpectNegKou:
     eta2: float
 
     family: ClassVar[str] = "spectneg_kou"
-    jump_kind: ClassVar[str] = "down"
-    diffusive: ClassVar[bool] = True
     class_d_note: ClassVar[str] = (
         "phi(r) > 1 under r > psi(1); upward-passage bound decays like "
         "n**(1 - phi(r))")
@@ -217,18 +225,7 @@ class SpectNegKou:
         _require(self.sigma > 0, "sigma must be positive")
         _require(self.a > 0, "jump intensity a must be positive")
         _require(self.eta2 > 0, "eta2 must be positive")
-
-    @property
-    def poles(self) -> Tuple[float, ...]:
-        return (-self.eta2,)
-
-    def exponent(self, z):
-        return (self.m * z + 0.5 * self.sigma**2 * z * z
-                + self.a * (self.eta2 / (self.eta2 + z) - 1.0))
-
-    def exponent_prime(self, z):
-        return (self.m + self.sigma**2 * z
-                - self.a * self.eta2 / (self.eta2 + z) ** 2)
+        self._fix_phases((1.0, -self.eta2))
 
 
 LevyModel = Union[BrownianDrift, KouJD, ExpJD, NegPoisson, SpectNegKou]
@@ -349,12 +346,12 @@ class ProblemSpec:
         _require(self.c > 0, "c must be positive; with c = 0 waiting forever "
                              "is optimal and no finite threshold exists")
         _require(self.v > 0, "v must be positive")
-        report = assumption_report(self.model, self.r)
-        if not report.discounting:
+        growth = psi1(self.model)
+        if not self.r > growth:
             raise AssumptionError(
                 "discounting assumption violated: requires "
-                f"r > psi(1) = {report.psi1:.6g}, got r = {self.r:.6g}")
-        object.__setattr__(self, "psi1", report.psi1)
+                f"r > psi(1) = {growth:.6g}, got r = {self.r:.6g}")
+        object.__setattr__(self, "psi1", growth)
 
     @property
     def b_upper(self) -> float:
@@ -364,6 +361,20 @@ class ProblemSpec:
         levels strictly inside (0, b_upper).
         """
         return self.c * (self.r - self.psi1) / (self.r * self.alpha)
+
+
+def _finite_floats(doc: dict, keys) -> dict:
+    """Each ``doc[key]`` as a float; a non-finite number is an input error."""
+    values = {}
+    for key in keys:
+        try:
+            values[key] = float(doc[key])
+        except OverflowError:  # an integer beyond the float range
+            values[key] = math.inf
+        if not math.isfinite(values[key]):
+            raise ValueError(f"field {key!r} must be a finite number, "
+                             f"got {values[key]}")
+    return values
 
 
 def model_from_dict(doc: dict) -> LevyModel:
@@ -383,12 +394,10 @@ def model_from_dict(doc: dict) -> LevyModel:
     if extra:
         raise ValueError(f"unexpected keys for family {family!r}: "
                          f"{sorted(extra)}")
-    kwargs = {}
     for name in names:
         if name not in doc:
             raise ValueError(f"family {family!r} requires field {name!r}")
-        kwargs[name] = float(doc[name])
-    return cls(**kwargs)
+    return cls(**_finite_floats(doc, names))
 
 
 _SPEC_FIELDS = ("r", "alpha", "c", "v")
@@ -406,7 +415,7 @@ def spec_from_dict(doc: dict) -> ProblemSpec:
         if key not in doc:
             raise ValueError(f"problem document is missing {key!r}")
     return ProblemSpec(model=model_from_dict(doc["model"]),
-                       **{key: float(doc[key]) for key in _SPEC_FIELDS})
+                       **_finite_floats(doc, _SPEC_FIELDS))
 
 
 def spec_to_dict(spec: ProblemSpec) -> dict:

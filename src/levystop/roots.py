@@ -1,15 +1,18 @@
 """Real roots of the characteristic equation psi(beta) = q.
 
 Every diffusive family's exponent grows like sigma^2 beta^2 / 2 at both ends
-of the real line, and its continuation through a jump pole runs to +inf on
-the side facing 0 and to -inf on the far side.  So psi - q changes sign
-exactly once in each gap between consecutive points of {poles, 0} and beyond
-the outermost ones, and the poles alone fix the root layout:
+of the real line, and its continuation through a jump pole (one per phase
+rate) runs to +inf on the side facing 0 and to -inf on the far side.  So
+psi - q changes sign exactly once in each gap between consecutive points
+of {poles, 0} and beyond the outermost ones, and the poles alone fix the
+root layout:
 
 * ``KouJD``          psi3 < -eta2 < psi2 < 0 < psi1 < eta1 < psi0
 * ``ExpJD``          -lam_bar < 0 < psi1 < eta1 < psi0
 * ``SpectNegKou``    psi3 < -eta2 < psi2 < 0 < psi1, with psi1 = phi(q)
 * ``BrownianDrift``  the two roots of a quadratic, in closed form
+* any phase mix      one root in each gap, so n + 1 roots on a side of 0
+  that holds n phase rates
 
 Each gap is bracketed analytically (just inside a pole, at 0 where
 psi - q = -q, or by marching outward) and solved by ``bracketed_root``, one
@@ -23,47 +26,19 @@ may have no float bracket at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 if TYPE_CHECKING:
-    from .models import ExpJD, LevyModel
+    from .models import LevyModel
 
-__all__ = ["EmeryRoot", "KouRoots", "RootBracketError", "bracketed_root",
-           "emery_root", "kou_roots", "real_roots"]
+__all__ = ["RootBracketError", "bracketed_root", "emery_root", "kou_roots",
+           "real_roots"]
 
 _EPS = math.ulp(1.0)
 
 
 class RootBracketError(ArithmeticError):
     """Failed to isolate or confirm a characteristic root."""
-
-
-@dataclass(frozen=True)
-class KouRoots:
-    """Real characteristic roots, slotted by position.
-
-    Slots that the family does not possess are ``None``: ``ExpJD`` has no
-    lower pole, so its one negative root is left out (``emery_root`` gives
-    it as -lam_bar), and ``SpectNegKou`` has no upper pole to lie beyond.
-    """
-
-    psi0: Optional[float]
-    psi1: float
-    psi2: Optional[float]
-    psi3: Optional[float]
-
-    def ordered(self) -> tuple:
-        """Non-None roots in ascending order."""
-        return tuple(x for x in (self.psi3, self.psi2, self.psi1, self.psi0)
-                     if x is not None)
-
-
-@dataclass(frozen=True)
-class EmeryRoot:
-    """Positive solution lam_bar of psi(-lam) = r for the up-jump diffusion."""
-
-    lam_bar: float
 
 
 def bracketed_root(f: Callable[[float], float], lo: float, hi: float,
@@ -191,28 +166,19 @@ def real_roots(model: "LevyModel", q: float,
     return tuple(roots)
 
 
-def kou_roots(model: "LevyModel", r: float) -> KouRoots:
-    """All real roots of psi(beta) = r for the rational-exponent families."""
-    if not model.poles:
-        raise ValueError("characteristic roots via kou_roots exist only for "
-                         "the rational-exponent jump diffusions; got "
-                         f"{model.family}")
-    roots = real_roots(model, r)
-    neg = [b for b in roots if b < 0]
-    pos = [b for b in roots if b > 0]
-    psi3, psi2 = neg if len(neg) == 2 else (None, None)
-    return KouRoots(psi0=pos[1] if len(pos) == 2 else None, psi1=pos[0],
-                    psi2=psi2, psi3=psi3)
+def kou_roots(model: "LevyModel", r: float) -> Tuple[float, ...]:
+    """All real roots of psi(beta) = r, ascending: ``real_roots(model, r)``.
 
-
-def emery_root(model: "ExpJD", r: float) -> EmeryRoot:
-    """Unique lam_bar > 0 with psi(-lam_bar) = r for the up-jump diffusion.
-
-    On the negative axis the exponent of ``ExpJD`` has no pole, and
-    h(lam) = psi(-lam) is convex with h(0) = 0, so h(lam) = r has exactly
-    one positive solution: minus the lowest characteristic root.
+    Kept as a name because the benchmark times this layer under it.
     """
-    if not model.poles or min(model.poles) < 0:
-        raise ValueError("emery_root applies to the upward jump diffusion "
-                         f"only; got {model.family}")
-    return EmeryRoot(lam_bar=-real_roots(model, r, side=-1)[0])
+    return real_roots(model, r)
+
+
+def emery_root(model: "LevyModel", r: float) -> float:
+    """lam_bar > 0 with psi(-lam_bar) = r: minus the lowest root.
+
+    For ``ExpJD`` it is the unique such value, since h(lam) = psi(-lam) is
+    convex with h(0) = 0 and no pole on that side.  Kept as a name because
+    the benchmark times this layer under it.
+    """
+    return -real_roots(model, r, side=-1)[0]

@@ -9,15 +9,16 @@ where ``tau_x`` is the first time X falls to or below ``x <= 0``, starting
 from 0.  Both equal 1 for x >= 0 (the passage is immediate) and both are
 nondecreasing with 0 <= G <= L <= 1.
 
-Diffusive families read both off the negative roots of psi(beta) = r, and
-solve no others.
-With one, -rate, there are no downward jumps: X creeps onto the level, so
-L = exp(rate x) and G = exp(x) L.  With two, psi3 < -eta2 < psi2, the
-downward jumps are exponential(eta2) and the two-root closed form of Kou &
-Wang 2003 ("First passage times of a jump diffusion process", Adv. Appl.
-Prob. 35) applies.  The unit-jump counter has no diffusion: each unit of
-depth costs one Exp(a) wait and the passage lands on the integer, so L and
-G are powers.
+Every diffusive family is a diffusion with jumps from a mixture of
+exponential phases, and its passage transforms share one closed form
+(Cai 2009, "On first passage times of a hyper-exponential jump diffusion
+process", Oper. Res. Lett. 37; Asmussen, Avram & Pistorius 2004, Stoch.
+Proc. Appl. 109).  With n down phases of rates theta_j, psi(beta) = r has
+n + 1 negative roots beta_k, and L is a sum of exp(-beta_k x) with
+product-form weights; G is the same sum under the Esscher tilt.  With no
+down phase the one root gives L = exp(-beta x): X creeps onto the level.
+The unit-jump counter has no diffusion: each unit of depth costs one Exp(a)
+wait and the passage lands on the integer, so L and G are powers.
 
 The canonical argument is log-moneyness x = ln(b / v); callers never hand
 (v, b) pairs to transform code.  ``candidate_value`` performs that change of
@@ -32,7 +33,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .models import LevyModel, ProblemSpec, assumption_report
+from .models import LevyModel, ProblemSpec, psi1
 from .roots import real_roots
 
 __all__ = ["HittingTransforms", "candidate_value"]
@@ -40,29 +41,39 @@ __all__ = ["HittingTransforms", "candidate_value"]
 ArrayLike = Union[float, np.ndarray]
 
 
-def _kou_style_LG(psi2: float, psi3: float, eta2: float, x: np.ndarray,
-                  want_joint: bool) -> np.ndarray:
-    """Closed-form L or G from the two negative characteristic roots.
+def _root_terms(roots: tuple, thetas: list, s: float) -> tuple:
+    """Pairs (c_k, s - beta_k) of sum_k c_k exp((s - beta_k) x).
 
-    Valid for any family whose downward jumps are exponential(eta2) riding on
-    a diffusion: the passage triple (time, undershoot) is determined by the
-    negative roots psi3 < -eta2 < psi2 < 0 of psi(beta) = r.
+    c_k = prod_j (theta_j + beta_k) / (theta_j + s)
+          * prod_{i != k} (beta_i - s) / (beta_i - beta_k)
+    over the down-phase rates theta_j and the negative roots beta_k, with
+    s = 0 for L and s = 1 for G (the same weights under the Esscher tilt).
     """
-    span = psi2 - psi3
-    e3 = np.exp(-x * psi3)
-    e2 = np.exp(-x * psi2)
-    if want_joint:
-        out = np.exp(x) * ((eta2 + psi3) * (psi2 - 1.0) * e3
-                           + (eta2 + psi2) * (1.0 - psi3) * e2) / (
-                               span * (eta2 + 1.0))
-    else:
-        out = ((psi2 * (eta2 + psi3) * e3 - psi3 * (eta2 + psi2) * e2)
-               / (span * eta2))
-    return np.where(x < 0.0, out, 1.0)
+    terms = []
+    for k, beta_k in enumerate(roots):
+        c = 1.0
+        for theta in thetas:
+            c *= (theta + beta_k) / (theta + s)
+        for i, beta_i in enumerate(roots):
+            if i != k:
+                c *= (beta_i - s) / (beta_i - beta_k)
+        terms.append((c, s - beta_k))
+    return tuple(terms)
 
 
-def _creeping(rate: float, x: np.ndarray, want_joint: bool) -> np.ndarray:
-    return np.exp(x * (rate + 1.0 if want_joint else rate))
+def _root_sum(terms: dict, x: np.ndarray, want_joint: bool) -> np.ndarray:
+    """sum_k c_k exp(rate_k x) over the L or G terms, divided by sum_k c_k.
+
+    The weights sum to 1 in exact arithmetic.  Dividing by their float sum,
+    taken in the same order, makes the value at x = 0 exactly 1.  The sum
+    runs elementwise, not as a matrix product, so an array and its scalars
+    agree to the last bit.
+    """
+    (c, rate), *rest = terms[want_joint]
+    out, total = c * np.exp(rate * x), c
+    for c, rate in rest:
+        out, total = out + c * np.exp(rate * x), total + c
+    return out / total
 
 
 def _lattice(gamma: float, x: np.ndarray, want_joint: bool) -> np.ndarray:
@@ -81,10 +92,10 @@ class HittingTransforms:
     """
 
     def __init__(self, model: LevyModel, r: float) -> None:
-        report = assumption_report(model, r)
-        if not report.discounting:
+        growth = psi1(model)
+        if not r > growth:
             raise ValueError("transforms need the discounting assumption "
-                             f"r > psi(1) = {report.psi1:.6g}; got r = {r:.6g}")
+                             f"r > psi(1) = {growth:.6g}; got r = {r:.6g}")
         self.model = model
         self.r = float(r)
         if not model.diffusive:
@@ -94,16 +105,16 @@ class HittingTransforms:
             self.slope_ratio = (1.0 - gamma) / (1.0 - gamma / math.e)
             return
         self.roots = real_roots(model, r, side=-1)
-        if len(self.roots) == 1:
-            rate = -self.roots[0]
-            self._passage = partial(_creeping, rate)
-            self.slope_ratio = rate / (rate + 1.0)
-        else:
-            psi3, psi2 = self.roots
-            eta2 = -model.poles[0]
-            self._passage = partial(_kou_style_LG, psi2, psi3, eta2)
-            self.slope_ratio = (psi2 * psi3 * (eta2 + 1.0)
-                                / (eta2 * (1.0 - psi2) * (1.0 - psi3)))
+        thetas = [-pole for pole in model.poles if pole < 0]
+        terms = {False: _root_terms(self.roots, thetas, 0.0),
+                 True: _root_terms(self.roots, thetas, 1.0)}
+        self._passage = partial(_root_sum, terms)
+        ratio = 1.0
+        for beta in self.roots:
+            ratio *= beta / (beta - 1.0)
+        for theta in thetas:
+            ratio *= (theta + 1.0) / theta
+        self.slope_ratio = ratio
 
     def _eval(self, x: ArrayLike, want_joint: bool) -> ArrayLike:
         x_arr = np.minimum(np.asarray(x, dtype=float), 0.0)

@@ -1,4 +1,5 @@
-"""End-to-end CLI checks through real subprocesses.
+"""End-to-end CLI checks through real subprocesses, and in-process runs of
+``cli.main`` for the many input-error cases.
 
 The CLI promises deterministic, timestamp-free output, RFC 4180 CSV with
 CRLF line endings, and a documented exit-code scheme: 0 ok, 1 input error,
@@ -14,6 +15,8 @@ import sys
 
 import pytest
 
+from levystop import cli
+
 BROWNIAN_SPEC = {
     "model": {"family": "brownian", "m": 0.0, "sigma": 1.0},
     "r": 1.0, "alpha": 1.0, "c": 1.0, "v": 1.0,
@@ -23,6 +26,14 @@ BROWNIAN_SPEC = {
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "levystop.cli", *args],
                           capture_output=True, text=True)
+
+
+def main_exit_code(*args):
+    """Exit code of an in-process run; argparse errors raise SystemExit."""
+    try:
+        return cli.main(list(args))
+    except SystemExit as exc:
+        return exc.code
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -195,7 +206,7 @@ def test_violated_discounting_exits_2(tmp_path):
     assert "psi(1) = 0.5" in proc.stderr
 
 
-def test_input_errors_exit_1(tmp_path, spec_path):
+def test_input_errors_exit_1(tmp_path, spec_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert run_cli("threshold", "--spec", str(broken)).returncode == 1
@@ -214,6 +225,35 @@ def test_input_errors_exit_1(tmp_path, spec_path):
     proc = run_cli("simulate", "--spec", spec_path, "--paths", "50")
     assert proc.returncode == 1  # --b is required
     assert run_cli("nonsense", "--spec", spec_path).returncode == 1
+
+    # Non-finite numbers, and integers beyond the float range, are input
+    # errors naming the field or the flag, in the spec document and on the
+    # command line alike.
+    brownian = BROWNIAN_SPEC["model"]
+    kou = {"family": "kou", "m": -0.2, "sigma": 0.3, "a": 0.5, "p": 0.4,
+           "eta1": 3.0, "eta2": 2.0}
+    for field, doc in (
+            ("m", dict(BROWNIAN_SPEC, model=dict(brownian, m=math.nan))),
+            ("sigma", dict(BROWNIAN_SPEC, model=dict(brownian,
+                                                     sigma=math.inf))),
+            ("eta2", dict(BROWNIAN_SPEC, model=dict(kou, eta2=math.inf))),
+            ("m", dict(BROWNIAN_SPEC, model=dict(kou, m=-math.inf))),
+            ("a", dict(BROWNIAN_SPEC, model=dict(kou, a=math.inf))),
+            ("r", dict(BROWNIAN_SPEC, r=math.nan)),
+            ("v", dict(BROWNIAN_SPEC, v=10**400))):
+        path = write_spec(tmp_path, doc, "nonfinite.json")
+        assert main_exit_code("threshold", "--spec", path) == 1
+        assert repr(field) in capsys.readouterr().err
+    for flag, args in (
+            ("--horizon", ("simulate", "--b", "0.3", "--horizon", "nan")),
+            ("--horizon", ("simulate", "--b", "0.3", "--horizon", "inf")),
+            ("--b", ("simulate", "--b", "nan")),
+            ("--q", ("scale-fn", "--q", "nan", "--grid", "0:1:3")),
+            ("--q", ("scale-fn", "--q", "inf", "--grid", "0:1:3")),
+            ("--dt", ("sweep", "--dt", "inf", "--grid", "0.1:0.5:3")),
+            ("grid", ("value", "--grid", "1:inf:3"))):
+        assert main_exit_code(*args, "--spec", spec_path) == 1
+        assert flag in capsys.readouterr().err
 
 
 def test_stdout_and_file_output_agree(tmp_path, spec_path):

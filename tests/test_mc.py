@@ -327,8 +327,9 @@ def test_config_validation():
         SimConfig(n_paths=0)
     with pytest.raises(ValueError, match="dt"):
         SimConfig(n_paths=10, dt=0.0)
-    with pytest.raises(ValueError, match="horizon"):
-        SimConfig(n_paths=10, horizon=-1.0)
+    for horizon in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="horizon"):
+            SimConfig(n_paths=10, horizon=horizon)
     with pytest.raises(ValueError, match="batch_size"):
         SimConfig(n_paths=10, batch_size=0)
 

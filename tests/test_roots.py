@@ -56,8 +56,8 @@ def test_kou_roots_pinned_configuration():
             (KouJD(m=-0.2, sigma=0.3, a=0.5, p=0.4, eta1=1e8, eta2=3.0), 1.0)):
         kr = kou_roots(model, r)
         oracle = _real_roots_of_cleared_kou(model, r)
-        assert np.allclose(kr.ordered(), oracle, rtol=1e-10, atol=1e-12)
-        psi3, psi2, psi1_root, psi0 = kr.ordered()
+        assert np.allclose(kr, oracle, rtol=1e-10, atol=1e-12)
+        psi3, psi2, psi1_root, psi0 = kr
         assert psi3 < -model.eta2 < psi2 < 0 < psi1_root < model.eta1 < psi0
 
 
@@ -65,8 +65,7 @@ def test_kou_roots_pinned_configuration():
 @settings(max_examples=300, deadline=None)
 def test_kou_roots_match_polynomial_oracle(m, sigma, a, p, eta1, eta2, r):
     model = KouJD(m=m, sigma=sigma, a=a, p=p, eta1=eta1, eta2=eta2)
-    kr = kou_roots(model, r)
-    got = np.array(kr.ordered())
+    got = np.array(kou_roots(model, r))
     assert got.size == 4
     oracle = _real_roots_of_cleared_kou(model, r)
     assert oracle.size == 4
@@ -81,14 +80,14 @@ def test_kou_roots_match_polynomial_oracle(m, sigma, a, p, eta1, eta2, r):
 @settings(max_examples=200, deadline=None)
 def test_expjd_roots_match_cubic_oracle(m, sigma, a, eta1, r):
     model = ExpJD(m=m, sigma=sigma, a=a, eta1=eta1)
-    kr = kou_roots(model, r)
-    assert kr.psi2 is None and kr.psi3 is None
+    lam_neg, psi1_root, psi0 = kou_roots(model, r)
     oracle = _real_roots_of_cleared_one_sided(m, sigma, a, eta1, r, up=True)
     neg = oracle[oracle < 0]
     pos = oracle[oracle > 0]
     assert neg.size == 1 and pos.size == 2
-    assert kr.psi1 == pytest.approx(pos[0], rel=1e-9)
-    assert kr.psi0 == pytest.approx(pos[1], rel=1e-9)
+    assert lam_neg == pytest.approx(neg[0], rel=1e-9)
+    assert psi1_root == pytest.approx(pos[0], rel=1e-9)
+    assert psi0 == pytest.approx(pos[1], rel=1e-9)
 
 
 @given(m=rng_ranges["m"], sigma=rng_ranges["sigma"], a=rng_ranges["a"],
@@ -96,13 +95,12 @@ def test_expjd_roots_match_cubic_oracle(m, sigma, a, eta1, r):
 @settings(max_examples=200, deadline=None)
 def test_spectneg_roots_match_cubic_oracle(m, sigma, a, eta2, r):
     model = SpectNegKou(m=m, sigma=sigma, a=a, eta2=eta2)
-    kr = kou_roots(model, r)
-    assert kr.psi0 is None
+    psi3, psi2, psi1_root = kou_roots(model, r)
     oracle = _real_roots_of_cleared_one_sided(m, sigma, a, eta2, r, up=False)
     assert oracle.size == 3
-    assert kr.psi3 == pytest.approx(oracle[0], rel=1e-9, abs=1e-11)
-    assert kr.psi2 == pytest.approx(oracle[1], rel=1e-9, abs=1e-11)
-    assert kr.psi1 == pytest.approx(oracle[2], rel=1e-9, abs=1e-11)
+    assert psi3 == pytest.approx(oracle[0], rel=1e-9, abs=1e-11)
+    assert psi2 == pytest.approx(oracle[1], rel=1e-9, abs=1e-11)
+    assert psi1_root == pytest.approx(oracle[2], rel=1e-9, abs=1e-11)
     assert oracle[0] < -eta2 < oracle[1] < 0 < oracle[2]
 
 
@@ -112,8 +110,8 @@ def test_spectneg_roots_match_cubic_oracle(m, sigma, a, eta2, r):
 @settings(max_examples=150, deadline=None)
 def test_kou_root_residuals(m, sigma, a, p, eta1, eta2, r):
     model = KouJD(m=m, sigma=sigma, a=a, p=p, eta1=eta1, eta2=eta2)
-    kr = kou_roots(model, r)
-    for root in (kr.psi1, kr.psi2):  # the two inside the pole strip
+    _, psi2, psi1_root, _ = kou_roots(model, r)
+    for root in (psi1_root, psi2):  # the two inside the pole strip
         assert abs(psi(model, root) - r) <= 1e-10 * max(1.0, r)
 
 
@@ -126,7 +124,7 @@ def test_kou_root_residuals(m, sigma, a, p, eta1, eta2, r):
 def test_emery_root_solves_tilted_equation(m, sigma, a, eta1, r):
     # psi(-lam) = r has exactly one positive solution for the up-jump model.
     model = ExpJD(m=m, sigma=sigma, a=a, eta1=eta1)
-    lam = emery_root(model, r).lam_bar
+    lam = emery_root(model, r)
     assert lam > 0
     assert psi(model, -lam) == pytest.approx(r, rel=0, abs=1e-10 * max(1, r))
 
@@ -136,12 +134,12 @@ def test_emery_root_positive_drift_exceeds_one():
     # bound decaying faster than the payoff grows.
     for m in (0.0, 0.3, 1.0):
         model = ExpJD(m=m, sigma=0.5, a=0.8, eta1=2.5)
-        assert emery_root(model, 1.0).lam_bar > 1.0
+        assert emery_root(model, 1.0) > 1.0
 
 
 def test_root_ordering_is_ascending():
     model = KouJD(m=-0.4, sigma=1.2, a=2.0, p=0.7, eta1=4.0, eta2=0.5)
-    ordered = kou_roots(model, 2.0).ordered()
+    ordered = kou_roots(model, 2.0)
     assert list(ordered) == sorted(ordered)
 
 
@@ -162,4 +160,4 @@ def test_positive_root_exceeds_one_under_discounting():
     # r > psi(1) forces the smallest positive root past 1.
     model = KouJD(m=0.05, sigma=0.3, a=0.5, p=0.4, eta1=3.0, eta2=2.0)
     r = psi(model, 1.0) + 0.05
-    assert kou_roots(model, r).psi1 > 1.0
+    assert min(b for b in kou_roots(model, r) if b > 0) > 1.0

@@ -1,14 +1,19 @@
 """Downward first-passage transforms L and G for all five families."""
 
 import math
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from levystop import transforms
 from levystop.engine import value_function
+from levystop.mc import SimConfig, hitting_estimates
 from levystop.models import (BrownianDrift, ExpJD, KouJD, NegPoisson,
-                             ProblemSpec, SpectNegKou, psi)
+                             PhaseJumpDiffusion, ProblemSpec, SpectNegKou,
+                             psi)
 from levystop.roots import emery_root
 from levystop.transforms import HittingTransforms, candidate_value
 
@@ -64,7 +69,7 @@ def test_expjd_uses_emery_rate_and_creeps():
     model = ExpJD(m=-0.3, sigma=0.8, a=0.8, eta1=2.5)
     r = 2.0
     ht = HittingTransforms(model, r)
-    lam = emery_root(model, r).lam_bar
+    lam = emery_root(model, r)
     xs = np.linspace(-3.0, -0.05, 9)
     assert np.allclose(ht.L(xs), np.exp(lam * xs), rtol=1e-10)
     # no downward jumps: passage creeps, so G(x) = e^x L(x) exactly
@@ -83,6 +88,45 @@ def test_neg_poisson_bucket_values():
     # overshoot lands exactly on the integer, so G gains e^{-k}
     assert ht.G(-0.3) == pytest.approx(gamma / math.e, rel=1e-14)
     assert ht.G(-2.5) == pytest.approx((gamma / math.e) ** 3, rel=1e-14)
+
+
+@dataclass(frozen=True)
+class TwoDownOneUp(PhaseJumpDiffusion):
+    """Down phases of rates 1.5 and 6 and one up phase: no family has two."""
+
+    m: float
+    sigma: float
+    a: float
+
+    family: ClassVar[str] = "two_down_one_up"
+    class_d_note: ClassVar[str] = ""
+
+    def __post_init__(self) -> None:
+        self._fix_phases((0.3, 4.0), (0.5, -1.5), (0.2, -6.0))
+
+
+def test_two_down_phases_match_simulation():
+    # The product-form weights with n = 2 down phases, which the JSON
+    # families never reach, against the event sampler, which shares no code
+    # with the closed form.
+    model = TwoDownOneUp(m=-0.1, sigma=0.4, a=1.2)
+    r = 1.0
+    ht = HittingTransforms(model, r)
+    assert len(ht.roots) == 3
+    for s in (0.0, 1.0):
+        weights = [c for c, _ in transforms._root_terms(ht.roots,
+                                                        [1.5, 6.0], s)]
+        assert sum(weights) == pytest.approx(1.0, rel=1e-12)
+    x = -1e-7
+    assert ht.slope_ratio == pytest.approx(
+        (1.0 - ht.L(x)) / (1.0 - ht.G(x)), rel=1e-6)
+    levels = [-0.2, -0.6, -1.2]
+    estimates = hitting_estimates(model, r, levels,
+                                  SimConfig(n_paths=100000, horizon=20.0,
+                                            seed=71))
+    for x, (est_l, est_g) in zip(levels, estimates):
+        assert abs(est_l.mean - ht.L(x)) < 4.0 * est_l.std_error
+        assert abs(est_g.mean - ht.G(x)) < 4.0 * est_g.std_error
 
 
 def test_neg_poisson_G_uses_integer_overshoot_not_level():
