@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
-"""Run the MC acceptance criteria AC-2, AC-3, AC-4 and AC-9 over many seeds.
+"""Run the MC gate criteria AC-2, AC-3, AC-4, AC-8 and AC-9 over many seeds.
 
 Not part of the release gate.  Each run repeats one criterion of
 tests/test_acceptance.py with the gate's specs and budgets; run s gives its
 i-th simulation the seed 10 s + i, so run 2 is the committed AC-2, run 3
 the committed AC-3 and run 6 the committed AC-9, and no two runs share a
 stream.  AC-4, like the gate, gives all five families the seed 10 s, so
-run 4 is the committed AC-4.  The committed run comes first, then the
-calibration runs.  For each statistic the script prints its mean, SD and
-worst value over the calibration runs, and the share of runs that fail the
-gate's test:
+run 4 is the committed AC-4; AC-8 has one simulation, so run 5 is the
+committed AC-8.  The committed run comes first, then the calibration runs.
+For each statistic the script prints its mean, SD and worst value over the
+calibration runs, and the share of runs that fail the gate's test:
 
 * AC-2, per family: the paired deficit of B_c to the argmax in standard
   errors (the plateau must contain B_c) and the plateau width in grid
@@ -18,6 +18,8 @@ gate's test:
   closed form (|z| < 3) and whether the two forms reconcile;
 * AC-4, per family: the largest |z| of the closed-form L and G against
   ``hitting_estimates`` over the five gate levels (|z| < 3);
+* AC-8: the log-log slope of the class-D ladder (-1 +- 0.15) and whether
+  its means fall monotonically;
 * AC-9: z of the mean capped passage time at eps = 1e-4 against B_c, after
   the quadrature offset (|z| < 3), and for reference the same z without
   it, which the gate no longer tests.
@@ -52,7 +54,7 @@ KOU_SPEC = ProblemSpec(model=KouJD(m=-0.2, sigma=0.3, a=0.5, p=0.4,
                        r=1.0, alpha=1.0, c=1.0, v=2.6)
 NP_SPEC = ProblemSpec(model=NegPoisson(a=1.0), r=0.5, alpha=1.0, c=1.0,
                       v=3.2)
-COMMITTED = {"ac2": 2, "ac3": 3, "ac4": 4, "ac9": 6}
+COMMITTED = {"ac2": 2, "ac3": 3, "ac4": 4, "ac8": 5, "ac9": 6}
 AC4_LEVELS = [-0.15, -0.4, -0.8, -1.1, -1.5]
 AC4_CASES = (  # family, model, r, paths, horizon
     ("brownian", BrownianDrift(m=-0.5, sigma=1.0), 2.0, 1000000, 6.0),
@@ -117,6 +119,18 @@ def ac4(run):
     return out
 
 
+def ac8(run):
+    """Slope of the class-D ladder; fails off -1 +- 0.15 or non-monotone."""
+    result = mc.class_d_diagnostic(
+        BM, 1.0, [2, 4, 8, 16, 32, 64, 128, 256],
+        mc.SimConfig(n_paths=4000000, dt=0.05, horizon=60.0, seed=10 * run))
+    means = np.array([e.mean for e in result.estimates])
+    mono = bool(np.all(np.diff(means) < 0))
+    slope = result.loglog_slope()
+    return {"log-log slope": (slope, not -1.15 <= slope <= -0.85),
+            "monotone": (float(mono), not mono)}
+
+
 def _capped_mean(b):
     """E[min(tau_b, 60)] for the driftless unit-volatility BM from 1."""
     return quad(lambda t: math.erf(abs(math.log(b)) / math.sqrt(2.0 * t)),
@@ -145,13 +159,13 @@ def ac9(run):
             "z without offset": (raw, None)}
 
 
-CRITERIA = {"ac2": ac2, "ac3": ac3, "ac4": ac4, "ac9": ac9}
+CRITERIA = {"ac2": ac2, "ac3": ac3, "ac4": ac4, "ac8": ac8, "ac9": ac9}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--criteria", default="ac2,ac3,ac4,ac9",
-                        help="comma-separated subset of ac2,ac3,ac4,ac9")
+    parser.add_argument("--criteria", default="ac2,ac3,ac4,ac8,ac9",
+                        help="comma-separated subset of ac2,ac3,ac4,ac8,ac9")
     parser.add_argument("--first-seed", type=int, default=1001,
                         help="first calibration run")
     parser.add_argument("--seeds", type=int, default=20,

@@ -17,7 +17,7 @@ path: the per-family formulas survive only as oracles in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -47,6 +47,8 @@ class ThresholdResult:
     ``phi_r``.  Families with upward jumps have no phi(r) and list roots
     instead, ascending: all four for the two-sided family, the single
     negative root -lam_bar for the one-sided one.  The counter has neither.
+    ``transforms``, which ``value_function`` reuses, are the ones B_c was
+    solved on; they stay out of equality, ``repr`` and the JSON form.
     """
 
     b_c: float
@@ -56,6 +58,7 @@ class ThresholdResult:
     phi_r: Optional[float]
     roots: Optional[tuple]
     b_upper: float
+    transforms: HittingTransforms = field(repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -72,15 +75,11 @@ def threshold(spec: ProblemSpec) -> ThresholdResult:
     """Optimal liquidation level B_c for ``spec``.
 
     Pure closed forms: root finding on scalars only, no tables, so this is
-    cheap enough to call in tight loops.
+    cheap enough to call in tight loops.  B_c = b_upper * slope_ratio is
+    reported with the roots and the transforms behind it.
     """
-    return _threshold(spec, HittingTransforms(spec.model, spec.r))
-
-
-def _threshold(spec: ProblemSpec,
-               transforms: HittingTransforms) -> ThresholdResult:
-    """B_c = b_upper * slope_ratio, reported with the roots behind it."""
     model = spec.model
+    transforms = HittingTransforms(model, spec.r)
     bound = spec.b_upper
     ratio = transforms.slope_ratio
     b_c = bound * ratio
@@ -99,7 +98,7 @@ def _threshold(spec: ProblemSpec,
         b_c=b_c,
         regime=G_CONTINUOUS if model.diffusive else G_DISCONTINUOUS,
         slope_ratio=ratio, psi_one=spec.psi1, phi_r=phi_r, roots=roots_used,
-        b_upper=bound)
+        b_upper=bound, transforms=transforms)
 
 
 class ValueFunction:
@@ -108,14 +107,13 @@ class ValueFunction:
     s(v) = g(v, B_c) is the expected discounted shortfall of the optimal
     policy, decreasing and convex with 0 <= s <= c/r; f is the affine
     immediate-shortfall line; w = s - f is the problem value, zero on the
-    stopping region (0, B_c] and positive beyond it.
+    stopping region (0, B_c] and positive beyond it.  s and w evaluate on
+    ``result.transforms``; ``value_function`` checks they fit ``spec``.
     """
 
-    def __init__(self, spec: ProblemSpec, result: ThresholdResult,
-                 transforms: HittingTransforms) -> None:
+    def __init__(self, spec: ProblemSpec, result: ThresholdResult) -> None:
         self.spec = spec
         self.result = result
-        self.transforms = transforms
 
     @property
     def b_c(self) -> float:
@@ -128,12 +126,10 @@ class ValueFunction:
         return float(out) if np.ndim(v) == 0 else out
 
     def s(self, v: ArrayLike) -> ArrayLike:
-        return candidate_value(self.spec, self.b_c, v, self.transforms)
+        return candidate_value(self.spec, self.b_c, v, self.result.transforms)
 
     def __call__(self, v: ArrayLike) -> ArrayLike:
         v_arr = np.asarray(v, dtype=float)
-        if np.any(v_arr <= 0):
-            raise ValueError("v must be positive")
         w = np.asarray(self.s(v_arr)) - np.asarray(self.f(v_arr))
         out = np.where(v_arr <= self.b_c, 0.0, w)
         return float(out) if np.ndim(v) == 0 else out
@@ -141,11 +137,19 @@ class ValueFunction:
 
 def value_function(spec: ProblemSpec,
                    result: Optional[ThresholdResult] = None) -> ValueFunction:
-    """Build the value-function evaluator on one set of transforms."""
-    transforms = HittingTransforms(spec.model, spec.r)
+    """The evaluator of w for ``spec``, on the roots ``result`` was solved on.
+
+    With no ``result``, ``threshold(spec)`` is solved here.  A ``result``
+    for another model, ``r`` or ``b_upper`` raises ``ValueError``.
+    """
     if result is None:
-        result = _threshold(spec, transforms)
-    return ValueFunction(spec, result, transforms)
+        return ValueFunction(spec, threshold(spec))
+    solved = result.transforms
+    if (solved.model, solved.r, result.b_upper) != (spec.model, spec.r,
+                                                      spec.b_upper):
+        raise ValueError("threshold result solved for another model, r or "
+                         f"b_upper: {solved.model}, r = {solved.r:.6g}")
+    return ValueFunction(spec, result)
 
 
 @dataclass(frozen=True)
@@ -218,21 +222,20 @@ def convexity_report(spec: ProblemSpec,
 
 
 def epsilon_region(spec: ProblemSpec, result: Optional[ThresholdResult],
-                   eps: float,
-                   vf: Optional[ValueFunction] = None) -> float:
+                   eps: float) -> float:
     """Upper boundary b(eps) = sup{v : w(v) <= eps} of the eps-stop region.
 
     The rule "stop once V enters (0, b(eps)]" costs at most eps in expected
     value.  w is continuous, zero up to B_c and strictly increasing past it,
     so b(eps) is the unique root of w = eps beyond B_c, found by the
-    bracketed Newton-bisection of ``roots`` with secant slopes.  Returns
-    +inf if eps exceeds the whole range of w (cannot happen here, where w
-    grows without bound, but the sentinel keeps the contract total).
+    bracketed Newton-bisection of ``roots`` with secant slopes, on the
+    roots of ``result`` (see ``value_function``).  Returns +inf if eps
+    exceeds the whole range of w (cannot happen here, where w grows
+    without bound, but the sentinel keeps the contract total).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if vf is None:
-        vf = value_function(spec, result)
+    vf = value_function(spec, result)
     b_c = vf.b_c
     hi = 2.0 * b_c
     for _ in range(400):

@@ -41,7 +41,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import ThresholdResult, epsilon_region, value_function
+from .engine import ThresholdResult, epsilon_region
 from .models import LevyModel, ProblemSpec, psi1
 
 __all__ = [
@@ -647,8 +647,7 @@ def epsilon_stop_paths(spec: ProblemSpec, result: ThresholdResult,
         raise ValueError("eps values must be positive")
     if np.any(np.diff(eps_arr) >= 0):
         raise ValueError("eps_list must be strictly descending")
-    vf = value_function(spec, result)
-    bounds = np.array([epsilon_region(spec, result, e, vf) for e in eps_arr])
+    bounds = np.array([epsilon_region(spec, result, e) for e in eps_arr])
     horizon = _resolve_horizon(cfg, spec.r, spec.psi1)
     tau = np.zeros((eps_arr.size, cfg.n_paths))
     active = bounds < spec.v

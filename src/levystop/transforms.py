@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -131,7 +131,7 @@ class HittingTransforms:
 
 
 def candidate_value(spec: ProblemSpec, b: float, v: ArrayLike,
-                    transforms: Optional[HittingTransforms] = None) -> ArrayLike:
+                    transforms: HittingTransforms) -> ArrayLike:
     """Expected discounted shortfall g(v, b) of the stop-at-b policy.
 
     g(v, b) = E_v[exp(-r tau_b) * (c/r - alpha V_{tau_b} / (r - psi(1)))]
@@ -139,19 +139,18 @@ def candidate_value(spec: ProblemSpec, b: float, v: ArrayLike,
     threshold engine maximises the full policy value by minimising g.
 
     For v <= b the passage is immediate and g reduces to
-    f(v) = -alpha v / (r - psi(1)) + c / r.
+    f(v) = -alpha v / (r - psi(1)) + c / r.  ``transforms`` are those of
+    ``spec``; x = ln(min(b / v, 1)) <= 0 goes to them with no second clamp.
     """
     b = float(b)
     if not 0.0 < b < spec.b_upper:
         raise ValueError(f"b must lie in (0, {spec.b_upper:.6g}) for the "
                          f"candidate value to be positive; got {b:.6g}")
-    if transforms is None:
-        transforms = HittingTransforms(spec.model, spec.r)
     v_arr = np.asarray(v, dtype=float)
     if np.any(v_arr <= 0):
         raise ValueError("v must be positive")
     x = np.log(np.minimum(b / v_arr, 1.0))
     denom = spec.r - spec.psi1
-    out = (-spec.alpha * v_arr / denom * transforms.G(x)
-           + spec.c / spec.r * transforms.L(x))
+    out = (-spec.alpha * v_arr / denom * transforms._passage(x, True)
+           + spec.c / spec.r * transforms._passage(x, False))
     return float(out) if np.ndim(v) == 0 else out

@@ -1,16 +1,19 @@
 """Thresholds, value functions, and the epsilon-region solver."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from levystop import mc
 from levystop.engine import (G_CONTINUOUS, G_DISCONTINUOUS, ThresholdResult,
                              convexity_report, epsilon_region, threshold,
                              value_function)
 from levystop.models import (BrownianDrift, ExpJD, KouJD, NegPoisson,
                              ProblemSpec, SpectNegKou, psi)
+from levystop.transforms import HittingTransforms
 
 
 def brownian_value_oracle(spec, v):
@@ -136,6 +139,70 @@ def test_value_function_vectorization_matches_scalars():
     vec = w(vs)
     for vi, wi in zip(vs, vec):
         assert wi == float(w(float(vi)))
+
+
+def test_value_function_reuses_or_solves_the_same_roots():
+    for spec in sample_specs():
+        res = threshold(spec)
+        grid = np.linspace(0.5 * res.b_c, 10.0 * res.b_c, 256)
+        reused = value_function(spec, res)(grid)
+        assert reused.tobytes() == value_function(spec)(grid).tobytes()
+
+
+def test_value_function_rejects_a_result_for_another_problem():
+    spec = sample_specs()[1]
+    res = threshold(spec)
+    for other in (
+            dataclasses.replace(spec, model=dataclasses.replace(
+                spec.model, m=0.1)),
+            dataclasses.replace(spec, model=ExpJD(m=0.05, sigma=0.3, a=0.5,
+                                                  eta1=3.0)),
+            dataclasses.replace(spec, r=0.7),
+            dataclasses.replace(spec, alpha=2.0),
+            dataclasses.replace(spec, c=2.0)):
+        with pytest.raises(ValueError, match="another model"):
+            value_function(other, res)
+        with pytest.raises(ValueError, match="another model"):
+            epsilon_region(other, res, 1e-3)
+    # v does not enter the threshold, so a result serves every start value.
+    moved = dataclasses.replace(spec, v=3.0)
+    grid = np.linspace(0.5 * res.b_c, 10.0 * res.b_c, 256)
+    assert (value_function(moved, res)(grid).tobytes()
+            == value_function(moved)(grid).tobytes())
+
+
+def test_value_function_rejects_nonpositive_v():
+    for spec in sample_specs():
+        w = value_function(spec)
+        for v in (0.0, -1.0, np.array([1.0, 0.0]), np.array([-2.0])):
+            with pytest.raises(ValueError, match="v must be positive"):
+                w(v)
+
+
+def test_one_root_solve_per_spec(monkeypatch):
+    """threshold and every consumer of its result share one transforms."""
+    built = []
+    init = HittingTransforms.__init__
+
+    def counting_init(self, model, r):
+        built.append(model)
+        init(self, model, r)
+
+    monkeypatch.setattr(HittingTransforms, "__init__", counting_init)
+    cfg = mc.SimConfig(n_paths=200, horizon=2.0, seed=1)
+    for spec in (sample_specs()[0], sample_specs()[1], sample_specs()[3]):
+        built.clear()
+        res = threshold(spec)
+        value_function(spec, res)(np.linspace(0.5 * res.b_c,
+                                              10.0 * res.b_c, 256))
+        if res.regime == G_CONTINUOUS:
+            convexity_report(spec, res)
+        else:
+            with pytest.raises(ValueError):
+                convexity_report(spec, res)
+        epsilon_region(spec, res, 1e-3)
+        mc.epsilon_stop_paths(spec, res, [1e-1, 1e-3], cfg)
+        assert built == [spec.model]
 
 
 def test_neg_poisson_value_continuous_at_threshold_and_bucket_edges():

@@ -188,27 +188,29 @@ def test_transforms_require_discounting_margin():
 def test_candidate_value_domain_and_limits():
     spec = ProblemSpec(model=BrownianDrift(m=0.0, sigma=1.0), r=1.0,
                        alpha=1.0, c=1.0, v=1.0)
+    ht = HittingTransforms(spec.model, spec.r)
     with pytest.raises(ValueError):
-        candidate_value(spec, 0.0, 1.0)
+        candidate_value(spec, 0.0, 1.0, ht)
     with pytest.raises(ValueError):
-        candidate_value(spec, spec.b_upper * 1.5, 1.0)
+        candidate_value(spec, spec.b_upper * 1.5, 1.0, ht)
     with pytest.raises(ValueError):
-        candidate_value(spec, 0.3, -1.0)
+        candidate_value(spec, 0.3, -1.0, ht)
     # v at or below b stops immediately: payoff f(v)
     for v in (0.1, 0.3):
-        got = candidate_value(spec, 0.3, v)
+        got = candidate_value(spec, 0.3, v, ht)
         f = -spec.alpha * v / (spec.r - spec.psi1) + spec.c / spec.r
         assert got == pytest.approx(f, rel=1e-12)
     # v -> 0+ approaches c/r
-    assert candidate_value(spec, 0.3, 1e-12) == pytest.approx(
+    assert candidate_value(spec, 0.3, 1e-12, ht) == pytest.approx(
         spec.c / spec.r, rel=1e-9)
 
 
 def test_candidate_value_is_array_aware():
     spec = ProblemSpec(model=BrownianDrift(m=0.0, sigma=1.0), r=1.0,
                        alpha=1.0, c=1.0, v=1.0)
+    ht = HittingTransforms(spec.model, spec.r)
     vs = np.array([0.1, 0.3, 0.9, 2.0])
-    vec = candidate_value(spec, 0.3, vs)
+    vec = candidate_value(spec, 0.3, vs, ht)
     assert vec.shape == vs.shape
     for vi, gi in zip(vs, vec):
-        assert gi == candidate_value(spec, 0.3, float(vi))
+        assert gi == candidate_value(spec, 0.3, float(vi), ht)
