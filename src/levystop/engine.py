@@ -233,7 +233,7 @@ def epsilon_region(spec: ProblemSpec, result: Optional[ThresholdResult],
     exceeds the whole range of w (cannot happen here, where w grows
     without bound, but the sentinel keeps the contract total).
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     vf = value_function(spec, result)
     b_c = vf.b_c

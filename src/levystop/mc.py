@@ -1,10 +1,11 @@
 """Monte Carlo oracle for every closed form in the package.
 
-Two vectorised first-passage samplers drive all estimators.  Both watch
-several downward levels in one pass, sorted shallowest first: a cascade
-advances each path's pending-level pointer while the current segment (or
-jump) still crosses the next level.  Sharing one pass across levels is what
-makes the b-sweep exact common random numbers.
+Every estimator is a functional of first passages below a ladder of
+levels, which ``_simulate_levels`` alone turns into passages.  Its two
+vectorised samplers watch all negative levels in one pass, shallowest
+first: a cascade advances each path's pending-level pointer while the
+current segment (or jump) still crosses the next level.  Sharing one pass
+across levels is what makes the b-sweep exact common random numbers.
 
 Every family but the counter uses one exact event-driven sampler with no
 time grid.  Paths step from event to event; each diffusion segment draws
@@ -172,14 +173,15 @@ def _draw_jumps(dyn: _Dynamics, rng: np.random.Generator,
 
 @dataclass
 class PassageRecord:
-    """Per-path first-passage data for a descending ladder of levels.
+    """Per-path first-passage data, one row per level in the caller's order.
 
     ``tau[j]`` is the passage time of level j, or the horizon where the
     path never got there (``hit[j]`` False).  For jump crossings ``x_hit``
     carries the post-jump overshoot value; diffusion crossings sit exactly
     on the level.  ``disc_exp_int[j]`` is an unbiased per-path estimate of
-    int_0^{tau_j ^ horizon} e^{-r s + X_s} ds and ``final_int`` that of the
-    same integral at the horizon, both present only when it was requested.
+    int_0^{tau_j ^ horizon} e^{-r s + X_s} ds.  ``final_int`` is read only
+    where the deepest level was missed, and there it estimates the same
+    integral up to the horizon.  Both are present only when requested.
     """
 
     tau: np.ndarray
@@ -187,6 +189,10 @@ class PassageRecord:
     hit: np.ndarray
     disc_exp_int: Optional[np.ndarray]
     final_int: Optional[np.ndarray]
+
+    def missed(self, j: int) -> float:
+        """Fraction of paths that never passed level j before the horizon."""
+        return 1.0 - float(np.mean(self.hit[j]))
 
 
 def _jump_crossings(levels: np.ndarray, pend: np.ndarray, x: np.ndarray,
@@ -251,9 +257,9 @@ def _bridge_crossings(rng: np.random.Generator, alpha: np.ndarray,
 
 
 def _event_batch(dyn: _Dynamics, r_disc: float, lam: float,
-                 levels: np.ndarray, horizon: float,
+                 levels: np.ndarray, rows: np.ndarray, horizon: float,
                  abandon_level: Optional[float], rng: np.random.Generator,
-                 n: int) -> Tuple[np.ndarray, ...]:
+                 out: PassageRecord, cols: slice) -> None:
     """Exact first-passage sampler for a diffusion with compound Poisson jumps.
 
     Each lane steps from event to event, with no time grid: it draws the
@@ -269,24 +275,22 @@ def _event_batch(dyn: _Dynamics, r_disc: float, lam: float,
     A jump passes every pending level at or above its landing point.
     Lanes retire when every level is passed, at the horizon, or, with
     ``abandon_level`` set, when an event leaves them at or above it.
+    Passages of ``levels[j]`` are written into row ``rows[j]``, columns
+    ``cols``, of ``out``, which arrives as all misses.
     """
     n_levels = len(levels)
-    tau = np.full((n_levels, n), horizon)
-    x_hit = np.zeros((n_levels, n))
-    hit = np.zeros((n_levels, n), dtype=bool)
-    a_at = np.zeros((n_levels, n)) if lam > 0 else None
-    a_final = np.zeros(n) if lam > 0 else None
 
     def record(j, lanes, t_cross, x_cross) -> None:
-        slot = idx[lanes]
-        tau[j, slot] = t_cross
-        x_hit[j, slot] = x_cross
-        hit[j, slot] = True
-        if a_at is not None:
-            a_at[j, slot] = acc[lanes]
+        row, col = rows[j], idx[lanes]
+        out.tau[row, col] = t_cross
+        out.x_hit[row, col] = x_cross
+        out.hit[row, col] = True
+        if lam > 0:
+            out.disc_exp_int[row, col] = acc[lanes]
 
-    # Compact per-lane state; idx maps lanes back to path slots.
-    idx = np.arange(n)
+    # Compact per-lane state; idx maps lanes back to columns of ``out``.
+    idx = np.arange(cols.start, cols.stop)
+    n = idx.size
     t = np.zeros(n)
     x = np.zeros(n)
     acc = np.zeros(n)
@@ -333,23 +337,26 @@ def _event_batch(dyn: _Dynamics, r_disc: float, lam: float,
         keep = (pend < n_levels) & (t < horizon)
         if abandon_level is not None:
             keep &= x < abandon_level
-        if a_final is not None:
-            a_final[idx[~keep]] = acc[~keep]
+        if lam > 0:
+            out.final_int[idx[~keep]] = acc[~keep]
         idx, t, x, acc, pend = idx[keep], t[keep], x[keep], acc[keep], \
             pend[keep]
-    return tau, x_hit, hit, a_at, a_final
 
 
 def _unit_down_batch(dyn: _Dynamics, r_disc: float, levels: np.ndarray,
-                     horizon: float, want_integral: bool,
-                     rng: np.random.Generator,
-                     n: int) -> Tuple[np.ndarray, ...]:
+                     rows: np.ndarray, horizon: float,
+                     rng: np.random.Generator, out: PassageRecord,
+                     cols: slice) -> None:
     """Exact event-driven sampler for X = -(Poisson counter).
 
     The j-th level is crossed at the ceil(-level_j)-th jump; jump times are
     partial sums of Exp(a) gaps, and the discounted integral is a sum of
     closed-form segment contributions, so there is no dt error at all.
+    It writes into ``out`` like ``_event_batch``, with the integral when
+    ``out`` has room for it.
     """
+    want_integral = out.final_int is not None
+    n = cols.stop - cols.start
     ks = np.ceil(-levels).astype(np.int64)
     k_deep = int(ks.max())
     # Integral contributions past k jumps decay like e^{-k}; 45 extra jump
@@ -357,12 +364,6 @@ def _unit_down_batch(dyn: _Dynamics, r_disc: float, levels: np.ndarray,
     k_big = max(k_deep, 45) if want_integral else k_deep
     gaps = rng.standard_exponential((n, k_big)) / dyn.a
     times = np.cumsum(gaps, axis=1)
-    n_levels = len(levels)
-    tau = np.empty((n_levels, n))
-    x_hit = np.zeros((n_levels, n))
-    hit = np.empty((n_levels, n), dtype=bool)
-    a_at = np.zeros((n_levels, n)) if want_integral else None
-    a_final = None
     if want_integral:
         clipped = np.minimum(times, horizon)
         starts = np.concatenate([np.zeros((n, 1)), clipped[:, :-1]], axis=1)
@@ -373,24 +374,16 @@ def _unit_down_batch(dyn: _Dynamics, r_disc: float, levels: np.ndarray,
         tail = (math.exp(-k_big)
                 * (np.exp(-r_disc * clipped[:, -1])
                    - math.exp(-r_disc * horizon)) / r_disc)
-        a_final = cum[:, -1] + tail
-    for j, k_level in enumerate(ks):
+        out.final_int[cols] = cum[:, -1] + tail
+    for row, k_level in zip(rows, ks):
         t_k = times[:, k_level - 1]
         level_hit = t_k <= horizon
-        tau[j] = np.where(level_hit, t_k, horizon)
-        x_hit[j] = np.where(level_hit, -float(k_level), 0.0)
-        hit[j] = level_hit
+        out.tau[row, cols] = np.where(level_hit, t_k, horizon)
+        out.x_hit[row, cols] = np.where(level_hit, -float(k_level), 0.0)
+        out.hit[row, cols] = level_hit
         if want_integral:
             # Clipped partial sums make this int_0^{tau_j ^ horizon} exactly.
-            a_at[j] = cum[:, k_level - 1]
-    return tau, x_hit, hit, a_at, a_final
-
-
-def _all_miss_batch(levels: np.ndarray, horizon: float, n: int
-                    ) -> Tuple[np.ndarray, ...]:
-    n_levels = len(levels)
-    return (np.full((n_levels, n), horizon), np.zeros((n_levels, n)),
-            np.zeros((n_levels, n), dtype=bool), None, None)
+            out.disc_exp_int[row, cols] = cum[:, k_level - 1]
 
 
 # Rate of the mark clock per unit of r.  Over 100 seeds of the AC-3 start
@@ -403,8 +396,13 @@ _MARK_RATE = 4.0
 def _simulate_levels(dyn: _Dynamics, r_disc: float, levels: Sequence[float],
                      horizon: float, cfg: SimConfig, want_integral: bool,
                      abandon_level: Optional[float] = None) -> PassageRecord:
-    """Passages of a descending ladder of levels, batch by batch.
+    """Passages of ``levels``, any order and sign, one row each in order.
 
+    A level >= 0 is passed at time 0 (``tau`` 0, ``x_hit`` 0, ``hit``
+    True, integral 0).  The negative ones go to the sampler shallowest
+    first, by a stable sort, and each batch writes its columns of one
+    record that starts as all misses.  Nondecreasing dynamics (the mirrored
+    counter) never reach a negative level and get that record unsampled.
     Requests with ``want_integral`` run the event sampler with a mark clock
     of rate ``_MARK_RATE * r_disc``; passage-only ones run it without one.
     Only the event sampler reads ``abandon_level``.
@@ -412,94 +410,79 @@ def _simulate_levels(dyn: _Dynamics, r_disc: float, levels: Sequence[float],
     levels_arr = np.asarray(levels, dtype=float)
     if levels_arr.ndim != 1 or levels_arr.size == 0:
         raise ValueError("levels must be a non-empty 1-d sequence")
-    if np.any(levels_arr >= 0):
-        raise ValueError("passage levels must be negative")
-    if np.any(np.diff(levels_arr) > 0):
-        raise ValueError("levels must be sorted descending (shallowest first)")
+    if np.isnan(levels_arr).any():
+        raise ValueError("passage levels must not be NaN")
     if dyn.sigma == 0 and not dyn.unit:
         raise ValueError("pure-drift dynamics are not supported")
 
-    lam = _MARK_RATE * r_disc if want_integral else 0.0
     n = cfg.n_paths
-    n_levels = levels_arr.size
-    sizes = [cfg.batch_size] * (n // cfg.batch_size)
-    if n % cfg.batch_size:
-        sizes.append(n % cfg.batch_size)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    children = np.random.SeedSequence(cfg.seed).spawn(len(sizes))
+    shape = (levels_arr.size, n)
+    passed = levels_arr >= 0
+    record = PassageRecord(
+        tau=np.repeat(np.where(passed, 0.0, horizon)[:, None], n, axis=1),
+        x_hit=np.zeros(shape), hit=np.repeat(passed[:, None], n, axis=1),
+        disc_exp_int=np.zeros(shape) if want_integral else None,
+        final_int=np.zeros(n) if want_integral else None)
+    # A stable sort on -level puts the levels >= 0 first.
+    rows = np.argsort(-levels_arr, kind="stable")[np.count_nonzero(passed):]
+    if not rows.size or dyn.unit > 0:
+        return record
 
-    tau = np.empty((n_levels, n))
-    x_hit = np.empty((n_levels, n))
-    hit = np.empty((n_levels, n), dtype=bool)
-    a_at = np.empty((n_levels, n)) if want_integral else None
-    a_final = np.empty(n) if want_integral else None
+    sampled = levels_arr[rows]
+    lam = _MARK_RATE * r_disc if want_integral else 0.0
+    starts = range(0, n, cfg.batch_size)
+    children = np.random.SeedSequence(cfg.seed).spawn(len(starts))
 
     def run(i: int) -> None:
         rng = np.random.Generator(np.random.Philox(children[i]))
+        cols = slice(starts[i], min(starts[i] + cfg.batch_size, n))
         if dyn.unit < 0:
-            out = _unit_down_batch(dyn, r_disc, levels_arr, horizon,
-                                   want_integral, rng, sizes[i])
-        elif dyn.unit > 0:
-            # Nondecreasing paths never reach a negative level.
-            out = _all_miss_batch(levels_arr, horizon, sizes[i])
+            _unit_down_batch(dyn, r_disc, sampled, rows, horizon, rng,
+                             record, cols)
         else:
-            out = _event_batch(dyn, r_disc, lam, levels_arr, horizon,
-                               abandon_level, rng, sizes[i])
-        lo, hi = offsets[i], offsets[i + 1]
-        tau[:, lo:hi], x_hit[:, lo:hi], hit[:, lo:hi] = out[0], out[1], out[2]
-        if want_integral:
-            if out[3] is None or out[4] is None:
-                raise ValueError("integral functional unavailable for "
-                                 "nondecreasing dynamics")
-            a_at[:, lo:hi] = out[3]
-            a_final[lo:hi] = out[4]
+            _event_batch(dyn, r_disc, lam, sampled, rows, horizon,
+                         abandon_level, rng, record, cols)
 
     workers = _thread_count()
-    if workers > 1 and len(sizes) > 1:
+    if workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(len(sizes))))
+            list(pool.map(run, range(len(starts))))
     else:
-        for i in range(len(sizes)):
+        for i in range(len(starts)):
             run(i)
-    return PassageRecord(tau=tau, x_hit=x_hit, hit=hit,
-                         disc_exp_int=a_at, final_int=a_final)
+    return record
 
 
 def hitting_estimates(model: LevyModel, r: float, levels: Sequence[float],
                       cfg: SimConfig) -> List[Tuple[McEstimate, McEstimate]]:
     """Estimates of (L, G) at each negative level, one path set for all.
 
-    Paths that outlive the horizon contribute 0 to both functionals, which
-    biases the estimates down by at most e^{-r T} per truncated path; the
+    Levels come in any order and the estimates in the same order.  Paths
+    that outlive the horizon contribute 0 to both functionals, which biases
+    the estimates down by at most e^{-r T} per truncated path; the
     truncation fraction is reported so callers can budget for it.
     """
     if r <= 0:
         raise ValueError("r must be positive")
-    levels_arr = np.asarray(levels, dtype=float)
-    order = np.argsort(-levels_arr, kind="stable")
+    if np.any(np.asarray(levels, dtype=float) >= 0):
+        raise ValueError("passage levels must be negative")
     dyn = _Dynamics.from_model(model)
     horizon = _resolve_horizon(cfg, r, psi1(model))
-    record = _simulate_levels(dyn, r, levels_arr[order], horizon, cfg,
+    record = _simulate_levels(dyn, r, levels, horizon, cfg,
                               want_integral=False)
-    out: List[Optional[Tuple[McEstimate, McEstimate]]]
-    out = [None] * levels_arr.size
-    for pos, orig in enumerate(order):
-        disc = np.where(record.hit[pos],
-                        np.exp(-r * record.tau[pos]), 0.0)
-        joint = np.where(record.hit[pos],
-                         np.exp(-r * record.tau[pos] + record.x_hit[pos]),
-                         0.0)
-        truncated = 1.0 - float(np.mean(record.hit[pos]))
-        out[orig] = (_estimate(disc, truncated), _estimate(joint, truncated))
+    out = []
+    for j in range(record.hit.shape[0]):
+        disc = np.where(record.hit[j], np.exp(-r * record.tau[j]), 0.0)
+        joint = np.where(record.hit[j],
+                         np.exp(-r * record.tau[j] + record.x_hit[j]), 0.0)
+        out.append((_estimate(disc, record.missed(j)),
+                    _estimate(joint, record.missed(j))))
     return out
 
 
 def simulate_hit(model: LevyModel, r: float, x_level: float,
                  cfg: SimConfig) -> Tuple[McEstimate, McEstimate]:
     """(L, G) estimates at one strictly negative level."""
-    if x_level >= 0:
-        raise ValueError("x_level must be negative; the passage is "
-                         "immediate otherwise")
     return hitting_estimates(model, r, [x_level], cfg)[0]
 
 
@@ -525,42 +508,36 @@ class PolicyValue:
         return abs(self.diff_mean) <= 4.0 * self.diff_se
 
 
-def _stopped_values(spec: ProblemSpec, record: PassageRecord,
-                    j: int) -> np.ndarray:
-    """Per-path stopped-form policy values for level j of ``record``."""
+def _stopped_values(spec: ProblemSpec, record: PassageRecord) -> np.ndarray:
+    """Per-path stopped-form policy values, one row per level of ``record``."""
     r, alpha, c, v = spec.r, spec.alpha, spec.c, spec.v
     growth = spec.psi1
-    v_stop = v * np.exp(record.x_hit[j])
+    v_stop = v * np.exp(record.x_hit)
     f_stop = -alpha * v_stop / (r - growth) + c / r
     return (alpha * v / (r - growth) - c / r
-            + np.where(record.hit[j], np.exp(-r * record.tau[j]) * f_stop,
-                       0.0))
+            + np.where(record.hit, np.exp(-r * record.tau) * f_stop, 0.0))
 
 
 def policy_value(spec: ProblemSpec, b: float, cfg: SimConfig) -> PolicyValue:
-    """Estimate E_v[int_0^{tau_b} e^{-rs}(alpha V_s - c) ds] two ways."""
+    """Estimate E_v[int_0^{tau_b} e^{-rs}(alpha V_s - c) ds] two ways.
+
+    b >= v needs no branch: its level is passed at time 0, so both are 0.
+    """
     if b <= 0:
         raise ValueError("b must be positive")
-    zero = McEstimate(0.0, 0.0, cfg.n_paths, 0.0)
-    if b >= spec.v:
-        return PolicyValue(b=b, direct=zero, stopped=zero,
-                           diff_mean=0.0, diff_se=0.0)
     dyn = _Dynamics.from_model(spec.model)
     horizon = _resolve_horizon(cfg, spec.r, spec.psi1)
     record = _simulate_levels(dyn, spec.r, [math.log(b / spec.v)], horizon,
                               cfg, want_integral=True)
-    stopped = _stopped_values(spec, record, 0)
+    stopped = _stopped_values(spec, record)[0]
     integral = np.where(record.hit[0], record.disc_exp_int[0],
                         record.final_int)
     direct = (spec.alpha * spec.v * integral
               - spec.c * (1.0 - np.exp(-spec.r * record.tau[0])) / spec.r)
-    truncated = 1.0 - float(np.mean(record.hit[0]))
-    diff = direct - stopped
-    diff_se = (float(np.std(diff, ddof=1) / math.sqrt(diff.size))
-               if diff.size > 1 else 0.0)
-    return PolicyValue(b=b, direct=_estimate(direct, truncated),
-                       stopped=_estimate(stopped, truncated),
-                       diff_mean=float(np.mean(diff)), diff_se=diff_se)
+    diff = _estimate(direct - stopped, 0.0)
+    return PolicyValue(b=b, direct=_estimate(direct, record.missed(0)),
+                       stopped=_estimate(stopped, record.missed(0)),
+                       diff_mean=diff.mean, diff_se=diff.std_error)
 
 
 @dataclass
@@ -588,7 +565,10 @@ class SweepResult:
 
 def sweep(spec: ProblemSpec, b_grid: Sequence[float],
           cfg: SimConfig) -> SweepResult:
-    """Paired estimates of the policy value on every b in one path set."""
+    """Paired estimates of the policy value on every b in one path set.
+
+    b >= v needs no mask: its level is passed at time 0, so its row is 0.
+    """
     grid = np.asarray(b_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("b_grid must be a non-empty 1-d sequence")
@@ -596,21 +576,12 @@ def sweep(spec: ProblemSpec, b_grid: Sequence[float],
         raise ValueError("b values must be positive")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("b_grid must be strictly ascending")
-    active = grid < spec.v
-    values = np.zeros((grid.size, cfg.n_paths))
-    truncated = np.zeros(grid.size)
-    if active.any():
-        # Ascending b below v means descending passage levels already.
-        act_idx = np.flatnonzero(active)[::-1]
-        levels = np.log(grid[act_idx] / spec.v)
-        dyn = _Dynamics.from_model(spec.model)
-        horizon = _resolve_horizon(cfg, spec.r, spec.psi1)
-        record = _simulate_levels(dyn, spec.r, levels, horizon, cfg,
-                                  want_integral=False)
-        for pos, orig in enumerate(act_idx):
-            values[orig] = _stopped_values(spec, record, pos)
-            truncated[orig] = 1.0 - float(np.mean(record.hit[pos]))
-    estimates = [_estimate(values[i], truncated[i])
+    dyn = _Dynamics.from_model(spec.model)
+    horizon = _resolve_horizon(cfg, spec.r, spec.psi1)
+    record = _simulate_levels(dyn, spec.r, np.log(grid / spec.v), horizon,
+                              cfg, want_integral=False)
+    values = _stopped_values(spec, record)
+    estimates = [_estimate(values[i], record.missed(i))
                  for i in range(grid.size)]
     means = np.array([e.mean for e in estimates])
     arg = int(np.argmax(means))
@@ -639,7 +610,10 @@ class EpsilonStopResult:
 def epsilon_stop_paths(spec: ProblemSpec, result: ThresholdResult,
                        eps_list: Sequence[float],
                        cfg: SimConfig) -> EpsilonStopResult:
-    """Mean entry time into each eps-region, all eps on shared paths."""
+    """Mean entry time into each eps-region, all eps on shared paths.
+
+    A boundary at or above v needs no mask: it is entered at time 0.
+    """
     eps_arr = np.asarray(eps_list, dtype=float)
     if eps_arr.ndim != 1 or eps_arr.size == 0:
         raise ValueError("eps_list must be a non-empty 1-d sequence")
@@ -648,21 +622,14 @@ def epsilon_stop_paths(spec: ProblemSpec, result: ThresholdResult,
     if np.any(np.diff(eps_arr) >= 0):
         raise ValueError("eps_list must be strictly descending")
     bounds = np.array([epsilon_region(spec, result, e) for e in eps_arr])
+    dyn = _Dynamics.from_model(spec.model)
     horizon = _resolve_horizon(cfg, spec.r, spec.psi1)
-    tau = np.zeros((eps_arr.size, cfg.n_paths))
-    active = bounds < spec.v
-    if active.any():
-        act_idx = np.flatnonzero(active)
-        levels = np.log(bounds[act_idx] / spec.v)
-        dyn = _Dynamics.from_model(spec.model)
-        record = _simulate_levels(dyn, spec.r, levels, horizon, cfg,
-                                  want_integral=False)
-        tau[act_idx] = record.tau
-    hit_frac = np.mean(tau < horizon, axis=1)
-    estimates = [_estimate(tau[i], 1.0 - float(hit_frac[i]))
+    record = _simulate_levels(dyn, spec.r, np.log(bounds / spec.v), horizon,
+                              cfg, want_integral=False)
+    estimates = [_estimate(record.tau[i], record.missed(i))
                  for i in range(eps_arr.size)]
     return EpsilonStopResult(eps_list=eps_arr, boundaries=bounds,
-                             estimates=estimates, tau=tau)
+                             estimates=estimates, tau=record.tau)
 
 
 @dataclass
@@ -696,7 +663,8 @@ def class_d_diagnostic(model: LevyModel, r: float, n_levels: Sequence[int],
     no variance beyond the hit indicator.  When the mirrored drift is
     positive, paths that a jump leaves ``abandon_depth`` or more above the
     start are abandoned as misses (recovery probability <= e^{-2 m D /
-    sigma^2}).
+    sigma^2}).  n = 1 needs no branch: level 0 is passed at time 0, so its
+    payoff is e^0 = 1 on every path.
     """
     growth = psi1(model)
     if r <= growth:
@@ -708,22 +676,14 @@ def class_d_diagnostic(model: LevyModel, r: float, n_levels: Sequence[int],
         raise ValueError("ladder must be strictly increasing")
     dyn = _Dynamics.from_model(model).mirrored(r)
     horizon = _resolve_horizon(cfg, r, growth)
-    estimates: List[Optional[McEstimate]] = [None] * ns.size
-    sim_idx = np.flatnonzero(ns > 1)
-    for i in np.flatnonzero(ns == 1):
-        # Level 0 is hit at time 0 with payoff e^0 = 1, path-independent.
-        estimates[i] = McEstimate(1.0, 0.0, cfg.n_paths, 0.0)
-    if sim_idx.size:
-        levels = -np.log(ns[sim_idx].astype(float))
-        abandon = abandon_depth if (dyn.m > 0 and dyn.sigma > 0) else None
-        record = _simulate_levels(dyn, 0.0, levels, horizon, cfg,
-                                  want_integral=False,
-                                  abandon_level=abandon)
-        for pos, orig in enumerate(sim_idx):
-            payoff = np.where(record.hit[pos],
-                              np.exp(-record.x_hit[pos]), 0.0)
-            truncated = 1.0 - float(np.mean(record.hit[pos]))
-            estimates[orig] = _estimate(payoff, truncated)
+    abandon = abandon_depth if (dyn.m > 0 and dyn.sigma > 0) else None
+    record = _simulate_levels(dyn, 0.0, -np.log(ns.astype(float)), horizon,
+                              cfg, want_integral=False,
+                              abandon_level=abandon)
+    estimates = [_estimate(np.where(record.hit[i],
+                                    np.exp(-record.x_hit[i]), 0.0),
+                           record.missed(i))
+                 for i in range(ns.size)]
     return ClassDResult(n_values=ns, estimates=estimates)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from levystop import mc
-from levystop.engine import threshold, value_function
+from levystop.engine import epsilon_region, threshold, value_function
 from levystop.mc import (McEstimate, SimConfig, class_d_diagnostic,
                          epsilon_stop_paths, hitting_estimates, policy_value,
                          sample_increment, simulate_hit, sweep)
@@ -40,7 +40,8 @@ def test_thread_count_does_not_change_results(monkeypatch):
         return (sweep(BM_SPEC, [0.2, 0.3, 0.5], cfg),
                 hitting_estimates(KOU, 1.0, [-0.2, -0.6], cfg),
                 class_d_diagnostic(KOU, 1.0, [2, 4], cfg).estimates,
-                policy_value(BM_SPEC, 0.3, cfg))
+                policy_value(BM_SPEC, 0.3, cfg),
+                policy_value(NP_SPEC, 1.0, cfg))
 
     monkeypatch.delenv("LEVYSTOP_THREADS", raising=False)
     serial = run()
@@ -105,6 +106,33 @@ def test_equal_levels_are_passed_together():
         assert np.array_equal(record.tau[0], record.tau[1])
         assert np.array_equal(record.x_hit[0], record.x_hit[1])
         assert record.hit[0].any()
+
+
+def test_levels_in_any_order_and_sign_share_one_ladder():
+    # The rows of an unsorted ladder with levels >= 0 are, bit for bit,
+    # those of its sorted negative levels; a level >= 0 is passed at once.
+    cfg = SimConfig(n_paths=2000, horizon=8.0, seed=23, batch_size=700)
+    for model in (BM, KOU, NegPoisson(a=1.0)):
+        dyn = mc._Dynamics.from_model(model)
+        mixed = mc._simulate_levels(dyn, 1.0, [-1.5, 0.0, -0.2, 0.3, -0.9],
+                                    8.0, cfg, want_integral=True)
+        ladder = mc._simulate_levels(dyn, 1.0, [-0.2, -0.9, -1.5], 8.0, cfg,
+                                     want_integral=True)
+        assert ladder.hit.any(), model.family
+        for field in ("tau", "x_hit", "hit", "disc_exp_int"):
+            assert (getattr(mixed, field)[[2, 4, 0]].tobytes()
+                    == getattr(ladder, field).tobytes()), field
+        assert mixed.final_int.tobytes() == ladder.final_int.tobytes()
+        for j in (1, 3):
+            assert np.all(mixed.tau[j] == 0.0) and np.all(mixed.hit[j])
+            assert np.all(mixed.x_hit[j] == 0.0)
+            assert np.all(mixed.disc_exp_int[j] == 0.0)
+    # The mirrored counter never moves down: an all-miss record.
+    dyn = mc._Dynamics.from_model(NegPoisson(a=1.0)).mirrored(1.0)
+    record = mc._simulate_levels(dyn, 0.0, [-2.0, 0.0, -0.5], 8.0, cfg,
+                                 want_integral=False)
+    assert not record.hit[[0, 2]].any() and record.hit[1].all()
+    assert np.all(record.tau[[0, 2]] == 8.0) and np.all(record.x_hit == 0.0)
 
 
 def _bridge(alpha, beta, var_dt, n, seed=0):
@@ -363,3 +391,14 @@ def test_argument_validation():
         class_d_diagnostic(BM, 1.0, [0, 2], cfg)
     with pytest.raises(ValueError, match="t must be positive"):
         sample_increment(BM, 0.0, 10, seed=1)
+    # NaN inputs get an error, never a silent answer.
+    with pytest.raises(ValueError, match="NaN"):
+        hitting_estimates(BM, 1.0, [math.nan], cfg)
+    with pytest.raises(ValueError, match="NaN"):
+        policy_value(BM_SPEC, math.nan, cfg)
+    with pytest.raises(ValueError, match="NaN"):
+        sweep(BM_SPEC, [math.nan], cfg)
+    with pytest.raises(ValueError, match="positive"):
+        epsilon_region(BM_SPEC, None, math.nan)
+    with pytest.raises(ValueError, match="positive"):
+        epsilon_stop_paths(BM_SPEC, res, [math.nan], cfg)
