@@ -5,6 +5,9 @@ are deterministic given the seed and carry no timestamps, so identical
 invocations produce byte-identical files.  Exit codes: 0 success, 1 input
 error, 2 assumption violation, 3 numerical failure (a characteristic root
 that cannot be bracketed in floating point, or fails its residual check).
+Each command imports only what it evaluates: ``inspect`` and ``threshold``
+solve scalar roots and never load numpy; ``value`` and ``scale-fn`` load
+it; ``sweep`` and ``simulate`` also load the Monte Carlo module ``mc``.
 """
 
 from __future__ import annotations
@@ -15,17 +18,18 @@ import csv
 import json
 import math
 import sys
-from typing import IO, ContextManager, List, Optional, Sequence
-
-import numpy as np
+from typing import (TYPE_CHECKING, IO, ContextManager, List, Optional,
+                    Sequence)
 
 from .engine import threshold, value_function
-from .mc import SimConfig, policy_value, sweep
 from .models import (AssumptionError, LevyModel, ProblemSpec,
                      assumption_report, has_phi, model_from_dict, phi, psi1,
                      spec_from_dict)
 from .roots import real_roots
-from .scale import ScaleFunction
+
+if TYPE_CHECKING:
+    import numpy as np
+    from .mc import SimConfig
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,6 +76,7 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ValueError("grid needs at least 2 points")
     if not hi > lo:
         raise ValueError("grid upper end must exceed the lower end")
+    import numpy as np
     return np.linspace(lo, hi, n)
 
 
@@ -102,6 +107,7 @@ def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[object]],
 
 
 def _sim_config(args: argparse.Namespace) -> SimConfig:
+    from .mc import SimConfig
     return SimConfig(n_paths=args.paths, dt=args.dt, horizon=args.horizon,
                      seed=args.seed)
 
@@ -141,7 +147,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 def cmd_value(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
     grid = _parse_grid(args.grid)
-    if np.any(grid <= 0):
+    if (grid <= 0).any():
         raise ValueError("v grid must be strictly positive")
     w = value_function(spec)(grid)
     _emit_csv(["v", "w"], list(zip(grid, w)), args.out)
@@ -149,6 +155,7 @@ def cmd_value(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .mc import sweep
     spec = _load_spec(args.spec)
     grid = _parse_grid(args.grid)
     result = sweep(spec, grid, _sim_config(args))
@@ -164,9 +171,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_scale_fn(args: argparse.Namespace) -> int:
+    from .scale import ScaleFunction
     model = _load_model(args.spec)
     grid = _parse_grid(args.grid)
-    if np.any(grid < 0):
+    if (grid < 0).any():
         raise ValueError("x grid must be nonnegative")
     sf = ScaleFunction(model, args.q, x_max=max(float(grid[-1]), 1.0))
     rows = [[x, sf.W(x), sf.Wprime(x), sf.Z(x)] for x in grid]
@@ -175,6 +183,7 @@ def cmd_scale_fn(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .mc import policy_value
     spec = _load_spec(args.spec)
     if args.b is None:
         raise ValueError("simulate requires --b (the stopping level)")

@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .models import ProblemSpec, has_phi, phi
 from .roots import bracketed_root, real_roots
@@ -30,7 +28,8 @@ __all__ = ["ConvexityReport", "ThresholdResult", "ValueFunction",
            "convexity_report", "epsilon_region", "threshold",
            "value_function"]
 
-ArrayLike = Union[float, np.ndarray]
+if TYPE_CHECKING:
+    from .transforms import ArrayLike
 
 G_CONTINUOUS = "G-continuous"
 G_DISCONTINUOUS = "G-discontinuous"
@@ -120,6 +119,7 @@ class ValueFunction:
         return self.result.b_c
 
     def f(self, v: ArrayLike) -> ArrayLike:
+        import numpy as np
         v_arr = np.asarray(v, dtype=float)
         out = (-self.spec.alpha * v_arr / (self.spec.r - self.spec.psi1)
                + self.spec.c / self.spec.r)
@@ -129,6 +129,7 @@ class ValueFunction:
         return candidate_value(self.spec, self.b_c, v, self.result.transforms)
 
     def __call__(self, v: ArrayLike) -> ArrayLike:
+        import numpy as np
         v_arr = np.asarray(v, dtype=float)
         w = np.asarray(self.s(v_arr)) - np.asarray(self.f(v_arr))
         out = np.where(v_arr <= self.b_c, 0.0, w)
@@ -194,6 +195,7 @@ def convexity_report(spec: ProblemSpec,
     """
     if on_failure not in ("raise", "report"):
         raise ValueError("on_failure must be 'raise' or 'report'")
+    import numpy as np
     vf = value_function(spec, result)
     if vf.result.regime != G_CONTINUOUS:
         raise ValueError("convexity diagnostics apply to the G-continuous "

@@ -82,7 +82,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
         if self.horizon is not None and not 0 < self.horizon < math.inf:
             raise ValueError("horizon must be positive and finite, got "
@@ -462,7 +462,7 @@ def hitting_estimates(model: LevyModel, r: float, levels: Sequence[float],
     the estimates down by at most e^{-r T} per truncated path; the
     truncation fraction is reported so callers can budget for it.
     """
-    if r <= 0:
+    if not r > 0:
         raise ValueError("r must be positive")
     if np.any(np.asarray(levels, dtype=float) >= 0):
         raise ValueError("passage levels must be negative")
@@ -667,7 +667,7 @@ def class_d_diagnostic(model: LevyModel, r: float, n_levels: Sequence[int],
     payoff is e^0 = 1 on every path.
     """
     growth = psi1(model)
-    if r <= growth:
+    if not r > growth:
         raise ValueError(f"class-D ladder needs r > psi(1) = {growth:.6g}")
     ns = np.asarray(n_levels, dtype=np.int64)
     if np.any(ns < 1):
@@ -690,7 +690,7 @@ def class_d_diagnostic(model: LevyModel, r: float, n_levels: Sequence[int],
 def sample_increment(model: LevyModel, t: float, n: int,
                      seed: int) -> np.ndarray:
     """n exact draws of X_t (no discretisation), for distribution tests."""
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     dyn = _Dynamics.from_model(model)

@@ -36,8 +36,6 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import ClassVar, Tuple, Union
 
-import numpy as np
-
 from .roots import real_roots
 
 __all__ = [
@@ -200,10 +198,15 @@ class NegPoisson:
     def __post_init__(self) -> None:
         _require(self.a > 0, "jump intensity a must be positive")
 
+    # math.exp keeps numpy out of psi1; at z = 1 it equals np.exp bit for bit.
     def exponent(self, z):
+        if type(z) is float:
+            return self.a * (math.exp(-z) - 1.0)
+        import numpy as np
         return self.a * (np.exp(-z) - 1.0)
 
     def exponent_prime(self, z):
+        import numpy as np
         return -self.a * np.exp(-z)
 
 
@@ -244,6 +247,7 @@ def psi(model: LevyModel, lam):
     for families with upward jumps, lam <= -eta2 for families with downward
     jumps.
     """
+    import numpy as np
     lam_arr = np.asarray(lam, dtype=float)
     for pole in model.poles:
         beyond = lam_arr >= pole if pole > 0 else lam_arr <= pole
@@ -277,7 +281,7 @@ def phi(model: LevyModel, qq: float) -> float:
     jumps are rejected; so is ``NegPoisson``, whose paths are decreasing and
     whose exponent is bounded above by zero, leaving psi(lam) = qq rootless.
     """
-    if qq <= 0:
+    if not qq > 0:
         raise ValueError("phi requires qq > 0")
     if not has_phi(model):
         raise ValueError(f"phi is undefined for {model.family}: it needs an "

@@ -137,7 +137,7 @@ def real_roots(model: "LevyModel", q: float,
     ``side`` -1 or +1 keeps only the negative or the positive roots and
     solves only the gaps on that side of 0; the default keeps them all.
     """
-    if q <= 0:
+    if not q > 0:
         raise ValueError("q must be positive")
     if not model.diffusive:
         raise ValueError(f"{model.family} has no diffusion part, so "

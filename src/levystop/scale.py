@@ -48,7 +48,7 @@ class ScaleFunction:
             raise ValueError("scale functions are implemented for the "
                              "spectrally negative diffusive families; got "
                              f"{model.family}")
-        if q <= 0:
+        if not q > 0:
             raise ValueError("q must be positive")
         self.model = model
         self.q = float(q)
@@ -59,7 +59,7 @@ class ScaleFunction:
     def _outer(self, x: ArrayLike):
         """Checked 1-d arguments and beta_i * max(x, 0), one row per x."""
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(x_arr > self.x_max * (1.0 + 1e-12)):
+        if not np.all(x_arr <= self.x_max * (1.0 + 1e-12)):
             raise ValueError(f"x beyond the domain [0, {self.x_max}]")
         bx = np.multiply.outer(np.clip(x_arr, 0.0, None), self._roots)
         if np.any(bx > _LOG_MAX):

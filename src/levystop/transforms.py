@@ -29,16 +29,16 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from .models import LevyModel, ProblemSpec, psi1
 from .roots import real_roots
 
 __all__ = ["HittingTransforms", "candidate_value"]
 
-ArrayLike = Union[float, np.ndarray]
+if TYPE_CHECKING:
+    import numpy as np
+    ArrayLike = Union[float, np.ndarray]
 
 
 def _root_terms(roots: tuple, thetas: list, s: float) -> tuple:
@@ -69,6 +69,7 @@ def _root_sum(terms: dict, x: np.ndarray, want_joint: bool) -> np.ndarray:
     runs elementwise, not as a matrix product, so an array and its scalars
     agree to the last bit.
     """
+    import numpy as np
     (c, rate), *rest = terms[want_joint]
     out, total = c * np.exp(rate * x), c
     for c, rate in rest:
@@ -77,6 +78,7 @@ def _root_sum(terms: dict, x: np.ndarray, want_joint: bool) -> np.ndarray:
 
 
 def _lattice(gamma: float, x: np.ndarray, want_joint: bool) -> np.ndarray:
+    import numpy as np
     return np.power(gamma / math.e if want_joint else gamma, np.ceil(-x))
 
 
@@ -117,6 +119,7 @@ class HittingTransforms:
         self.slope_ratio = ratio
 
     def _eval(self, x: ArrayLike, want_joint: bool) -> ArrayLike:
+        import numpy as np
         x_arr = np.minimum(np.asarray(x, dtype=float), 0.0)
         out = self._passage(x_arr, want_joint)
         return float(out) if np.ndim(x) == 0 else out
@@ -146,8 +149,9 @@ def candidate_value(spec: ProblemSpec, b: float, v: ArrayLike,
     if not 0.0 < b < spec.b_upper:
         raise ValueError(f"b must lie in (0, {spec.b_upper:.6g}) for the "
                          f"candidate value to be positive; got {b:.6g}")
+    import numpy as np
     v_arr = np.asarray(v, dtype=float)
-    if np.any(v_arr <= 0):
+    if not np.all(v_arr > 0):
         raise ValueError("v must be positive")
     x = np.log(np.minimum(b / v_arr, 1.0))
     denom = spec.r - spec.psi1

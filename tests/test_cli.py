@@ -169,6 +169,50 @@ def test_cli_runs_without_scipy(spec_path):
     assert proc.returncode == 0, proc.stderr
 
 
+# One spec per family; r = 0.5 exceeds psi(1) for each.
+FAMILY_MODELS = [
+    {"family": "brownian", "m": 0.05, "sigma": 0.3},
+    {"family": "kou", "m": 0.0, "sigma": 0.2, "a": 1.0, "p": 0.4,
+     "eta1": 10.0, "eta2": 5.0},
+    {"family": "expjd", "m": -0.1, "sigma": 0.25, "a": 0.5, "eta1": 4.0},
+    {"family": "neg_poisson", "a": 0.7},
+    {"family": "spectneg_kou", "m": 0.1, "sigma": 0.3, "a": 1.0,
+     "eta2": 3.0},
+]
+
+
+def test_threshold_and_inspect_run_without_numpy(tmp_path):
+    # Both solve scalar roots only; numpy is loaded where arrays are.
+    paths = [write_spec(tmp_path, {"model": model, "r": 0.5, "alpha": 1.0,
+                                   "c": 1.0, "v": 1.0},
+                        name=f"{model['family']}.json")
+             for model in FAMILY_MODELS]
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from levystop.cli import main\n"
+        f"for path in {paths!r}:\n"
+        "    for cmd in ('threshold', 'inspect'):\n"
+        "        assert main([cmd, '--spec', path]) == 0, (cmd, path)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_value_loads_neither_mc_nor_scale(spec_path):
+    script = (
+        "import sys\n"
+        "from levystop.cli import main\n"
+        f"assert main(['value', '--spec', {spec_path!r}, "
+        "'--grid', '0.1:2:5']) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+        "assert 'levystop.mc' not in sys.modules\n"
+        "assert 'levystop.scale' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_sweep_reruns_are_byte_identical(tmp_path, spec_path):
     args = ("sweep", "--spec", spec_path, "--grid", "0.2:0.4:3",
             "--paths", "2000", "--dt", "0.01", "--horizon", "6",

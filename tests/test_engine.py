@@ -174,7 +174,8 @@ def test_value_function_rejects_a_result_for_another_problem():
 def test_value_function_rejects_nonpositive_v():
     for spec in sample_specs():
         w = value_function(spec)
-        for v in (0.0, -1.0, np.array([1.0, 0.0]), np.array([-2.0])):
+        for v in (0.0, -1.0, np.array([1.0, 0.0]), np.array([-2.0]),
+                  np.nan, np.array([1.0, np.nan])):
             with pytest.raises(ValueError, match="v must be positive"):
                 w(v)
 

@@ -353,8 +353,9 @@ def test_truncation_fraction_counts_horizon_survivors():
 def test_config_validation():
     with pytest.raises(ValueError, match="n_paths"):
         SimConfig(n_paths=0)
-    with pytest.raises(ValueError, match="dt"):
-        SimConfig(n_paths=10, dt=0.0)
+    for dt in (0.0, math.nan):
+        with pytest.raises(ValueError, match="dt"):
+            SimConfig(n_paths=10, dt=dt)
     for horizon in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="horizon"):
             SimConfig(n_paths=10, horizon=horizon)
@@ -394,6 +395,12 @@ def test_argument_validation():
     # NaN inputs get an error, never a silent answer.
     with pytest.raises(ValueError, match="NaN"):
         hitting_estimates(BM, 1.0, [math.nan], cfg)
+    with pytest.raises(ValueError, match="r must be positive"):
+        hitting_estimates(BM, math.nan, [-0.5], cfg)
+    with pytest.raises(ValueError, match="r > psi"):
+        class_d_diagnostic(BM, math.nan, [1, 2], cfg)
+    with pytest.raises(ValueError, match="t must be positive"):
+        sample_increment(BM, math.nan, 3, seed=1)
     with pytest.raises(ValueError, match="NaN"):
         policy_value(BM_SPEC, math.nan, cfg)
     with pytest.raises(ValueError, match="NaN"):

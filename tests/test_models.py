@@ -82,6 +82,20 @@ def test_psi_is_array_aware():
         assert vi == psi(model, float(li))
 
 
+def test_counter_exponent_float_and_array_paths_agree():
+    # A Python float takes math.exp, so psi1 loads no numpy; an array takes
+    # np.exp.  They must agree bit for bit at z = 1, the float psi1 passes.
+    for a in np.geomspace(1e-3, 1e3, 241):
+        model = NegPoisson(a=float(a))
+        assert model.exponent(1.0) == float(model.exponent(np.array(1.0)))
+        assert psi1(model) == float(psi(model, np.array(1.0)))
+    model = NegPoisson(a=1.7)
+    lam = np.linspace(-3.0, 3.0, 61)
+    vec = psi(model, lam)
+    assert isinstance(vec, np.ndarray)
+    assert np.array_equal(vec, 1.7 * (np.exp(-lam) - 1.0))
+
+
 def test_psi_pole_rejection():
     kou = KouJD(m=0.0, sigma=0.3, a=0.5, p=0.4, eta1=3.0, eta2=2.0)
     for bad in (3.0, 3.5, -2.0, -2.5):
@@ -146,6 +160,8 @@ def test_phi_undefined_for_up_jump_and_counter_families():
         phi(ExpJD(m=0.0, sigma=0.3, a=0.5, eta1=3.0), 1.0)
     with pytest.raises(ValueError, match="bounded above"):
         phi(NegPoisson(a=1.0), 1.0)
+    with pytest.raises(ValueError, match="qq > 0"):
+        phi(BrownianDrift(m=0.0, sigma=1.0), math.nan)
 
 
 def test_discounting_assumption_message_names_threshold():

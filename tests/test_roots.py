@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from levystop.models import ExpJD, KouJD, NegPoisson, SpectNegKou, psi
-from levystop.roots import RootBracketError, emery_root, kou_roots
+from levystop.roots import (RootBracketError, emery_root, kou_roots,
+                            real_roots)
 
 rng_ranges = dict(
     m=st.floats(-2.0, 2.0), sigma=st.floats(0.1, 3.0),
@@ -147,6 +148,9 @@ def test_kou_roots_invalid_inputs():
     model = KouJD(m=0.0, sigma=0.3, a=0.5, p=0.4, eta1=3.0, eta2=2.0)
     with pytest.raises(ValueError):
         kou_roots(model, 0.0)
+    # A NaN rate is an input error, not a failed bracket.
+    with pytest.raises(ValueError, match="q must be positive"):
+        real_roots(SpectNegKou(m=0.0, sigma=0.3, a=0.5, eta2=2.0), np.nan)
     with pytest.raises((TypeError, ValueError)):
         kou_roots(NegPoisson(a=1.0), 1.0)
     # At eta1 = 1e9 no float lies between the pole and the root beyond it:

@@ -218,15 +218,17 @@ def test_talbot_rejects_nonpositive_x():
 
 
 def test_scale_function_input_validation():
-    with pytest.raises(ValueError):
-        ScaleFunction(BrownianDrift(m=0.0, sigma=1.0), 0.0)
+    for q in (0.0, math.nan):
+        with pytest.raises(ValueError, match="q must be positive"):
+            ScaleFunction(BrownianDrift(m=0.0, sigma=1.0), q)
     from levystop.models import KouJD
     with pytest.raises(ValueError):
         ScaleFunction(KouJD(m=0.0, sigma=0.3, a=0.5, p=0.4, eta1=3.0,
                             eta2=2.0), 1.0)
     sf = ScaleFunction(BrownianDrift(m=0.0, sigma=1.0), 1.0, x_max=2.0)
-    with pytest.raises(ValueError):
-        sf.W(2.5)
+    for x in (2.5, math.nan):
+        with pytest.raises(ValueError, match="beyond the domain"):
+            sf.W(x)
     # Phi(1) is about 2e3 here, so exp(Phi x) leaves the float range
     # before x = 0.36: a typed error, not inf.
     sf = ScaleFunction(SpectNegKou(m=0.0, sigma=1e-3, a=1.0, eta2=2.0), 1.0,
