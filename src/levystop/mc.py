@@ -19,7 +19,7 @@ Most estimators need only the passage (tau, X_tau): the transforms L and
 G, the eps-stopping times, the class-D ladder and the policy value in its
 stopped form alpha v/(r - psi(1)) - c/r + E[e^{-r tau} f(V_tau)], which the
 b-sweep uses.  ``policy_value`` also checks that form against the direct
-integral, which the sampler estimates through the resolvent identity
+integral up to the passage, estimated through the resolvent identity
 int_0^tau e^{-rs + X_s} ds = E[sum_{s_i < tau} e^{-r s_i + X_{s_i}} / lam]
 over the marks s_i of an independent Poisson(lam) clock, lam = 4 r.  The
 two forms rest on different identities, so their agreement is a real
@@ -35,6 +35,7 @@ depend on batch_size, which is part of the config).
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -80,15 +81,15 @@ class SimConfig:
     batch_size: int = 16384
 
     def __post_init__(self) -> None:
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be at least 1")
+        for name in ("n_paths", "batch_size"):
+            count = getattr(self, name)
+            if not isinstance(count, numbers.Integral) or count < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         if self.horizon is not None and not 0 < self.horizon < math.inf:
             raise ValueError("horizon must be positive and finite, got "
                              f"{self.horizon}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -178,16 +179,14 @@ class PassageRecord:
     ``tau[j]`` is the passage time of level j, or the horizon where the
     path never got there (``hit[j]`` False).  For jump crossings ``x_hit``
     carries the post-jump overshoot value; diffusion crossings sit exactly
-    on the level.  ``disc_exp_int[j]`` is an unbiased per-path estimate of
-    int_0^{tau_j ^ horizon} e^{-r s + X_s} ds.  ``final_int`` is read only
-    where the deepest level was missed, and there it estimates the same
-    integral up to the horizon.  Both are present only when requested.
+    on the level.  ``final_int``, present only when requested, is an
+    unbiased per-path estimate of int_0^{tau ^ horizon} e^{-r s + X_s} ds,
+    where tau is the passage of the deepest level.
     """
 
     tau: np.ndarray
     x_hit: np.ndarray
     hit: np.ndarray
-    disc_exp_int: Optional[np.ndarray]
     final_int: Optional[np.ndarray]
 
     def missed(self, j: int) -> float:
@@ -256,8 +255,8 @@ def _bridge_crossings(rng: np.random.Generator, alpha: np.ndarray,
     return crossed, frac
 
 
-def _event_batch(dyn: _Dynamics, r_disc: float, lam: float,
-                 levels: np.ndarray, rows: np.ndarray, horizon: float,
+def _event_batch(dyn: _Dynamics, r_disc: float, levels: np.ndarray,
+                 rows: np.ndarray, horizon: float,
                  abandon_level: Optional[float], rng: np.random.Generator,
                  out: PassageRecord, cols: slice) -> None:
     """Exact first-passage sampler for a diffusion with compound Poisson jumps.
@@ -270,8 +269,9 @@ def _event_batch(dyn: _Dynamics, r_disc: float, lam: float,
     from (tau, l) for the level below, which the Markov property allows.
     An event is a mark with probability lam / (a + lam) and a jump
     otherwise; the uniform that decides is drawn only when both can occur,
-    so lam = 0 reproduces the passage-only draws exactly.  A mark adds
-    e^{-r t + X_t} / lam to the lane's integral while a level is pending.
+    so lam = 0 reproduces the passage-only draws exactly.  The clock runs,
+    at lam = ``_MARK_RATE`` r, only when ``out`` has room for the integral;
+    a mark adds e^{-r t + X_t} / lam to it while a level is pending.
     A jump passes every pending level at or above its landing point.
     Lanes retire when every level is passed, at the horizon, or, with
     ``abandon_level`` set, when an event leaves them at or above it.
@@ -279,14 +279,13 @@ def _event_batch(dyn: _Dynamics, r_disc: float, lam: float,
     ``cols``, of ``out``, which arrives as all misses.
     """
     n_levels = len(levels)
+    lam = _MARK_RATE * r_disc if out.final_int is not None else 0.0
 
     def record(j, lanes, t_cross, x_cross) -> None:
         row, col = rows[j], idx[lanes]
         out.tau[row, col] = t_cross
         out.x_hit[row, col] = x_cross
         out.hit[row, col] = True
-        if lam > 0:
-            out.disc_exp_int[row, col] = acc[lanes]
 
     # Compact per-lane state; idx maps lanes back to columns of ``out``.
     idx = np.arange(cols.start, cols.stop)
@@ -349,41 +348,28 @@ def _unit_down_batch(dyn: _Dynamics, r_disc: float, levels: np.ndarray,
                      cols: slice) -> None:
     """Exact event-driven sampler for X = -(Poisson counter).
 
-    The j-th level is crossed at the ceil(-level_j)-th jump; jump times are
-    partial sums of Exp(a) gaps, and the discounted integral is a sum of
-    closed-form segment contributions, so there is no dt error at all.
-    It writes into ``out`` like ``_event_batch``, with the integral when
-    ``out`` has room for it.
+    The j-th level is crossed at the ceil(-level_j)-th jump, so each path
+    draws as many Exp(a) gaps as the deepest level needs.  X is -i on the
+    i-th segment, so the integral, clipped at the horizon, is a sum of
+    closed-form segments with no error at all.  It writes into ``out``
+    like ``_event_batch``, with the integral when ``out`` has room for it.
     """
-    want_integral = out.final_int is not None
     n = cols.stop - cols.start
     ks = np.ceil(-levels).astype(np.int64)
     k_deep = int(ks.max())
-    # Integral contributions past k jumps decay like e^{-k}; 45 extra jump
-    # segments put the neglected tail below 1e-19 of the total.
-    k_big = max(k_deep, 45) if want_integral else k_deep
-    gaps = rng.standard_exponential((n, k_big)) / dyn.a
+    gaps = rng.standard_exponential((n, k_deep)) / dyn.a
     times = np.cumsum(gaps, axis=1)
-    if want_integral:
-        clipped = np.minimum(times, horizon)
-        starts = np.concatenate([np.zeros((n, 1)), clipped[:, :-1]], axis=1)
-        weights = np.exp(-np.arange(k_big, dtype=float))
-        segments = weights * (np.exp(-r_disc * starts)
-                              - np.exp(-r_disc * clipped)) / r_disc
-        cum = np.cumsum(segments, axis=1)
-        tail = (math.exp(-k_big)
-                * (np.exp(-r_disc * clipped[:, -1])
-                   - math.exp(-r_disc * horizon)) / r_disc)
-        out.final_int[cols] = cum[:, -1] + tail
+    if out.final_int is not None:
+        weights = np.exp(-np.arange(k_deep, dtype=float))
+        decay = np.exp(-r_disc * np.minimum(times, horizon))
+        segments = -np.diff(decay, axis=1, prepend=1.0)
+        out.final_int[cols] = np.sum(weights * segments, axis=1) / r_disc
     for row, k_level in zip(rows, ks):
         t_k = times[:, k_level - 1]
         level_hit = t_k <= horizon
         out.tau[row, cols] = np.where(level_hit, t_k, horizon)
         out.x_hit[row, cols] = np.where(level_hit, -float(k_level), 0.0)
         out.hit[row, cols] = level_hit
-        if want_integral:
-            # Clipped partial sums make this int_0^{tau_j ^ horizon} exactly.
-            out.disc_exp_int[row, cols] = cum[:, k_level - 1]
 
 
 # Rate of the mark clock per unit of r.  Over 100 seeds of the AC-3 start
@@ -391,6 +377,8 @@ def _unit_down_batch(dyn: _Dynamics, r_disc: float, levels: np.ndarray,
 # at rate r, 1 at 4 r and 8 at 16 r: more marks bring out the heavy tail of
 # the integral itself, whose sample SE then understates the error.
 _MARK_RATE = 4.0
+# Class-D mirror paths that a jump leaves this far above 0 count as misses.
+_ABANDON_DEPTH = 10.0
 
 
 def _simulate_levels(dyn: _Dynamics, r_disc: float, levels: Sequence[float],
@@ -399,7 +387,7 @@ def _simulate_levels(dyn: _Dynamics, r_disc: float, levels: Sequence[float],
     """Passages of ``levels``, any order and sign, one row each in order.
 
     A level >= 0 is passed at time 0 (``tau`` 0, ``x_hit`` 0, ``hit``
-    True, integral 0).  The negative ones go to the sampler shallowest
+    True).  The negative ones go to the sampler shallowest
     first, by a stable sort, and each batch writes its columns of one
     record that starts as all misses.  Nondecreasing dynamics (the mirrored
     counter) never reach a negative level and get that record unsampled.
@@ -421,7 +409,6 @@ def _simulate_levels(dyn: _Dynamics, r_disc: float, levels: Sequence[float],
     record = PassageRecord(
         tau=np.repeat(np.where(passed, 0.0, horizon)[:, None], n, axis=1),
         x_hit=np.zeros(shape), hit=np.repeat(passed[:, None], n, axis=1),
-        disc_exp_int=np.zeros(shape) if want_integral else None,
         final_int=np.zeros(n) if want_integral else None)
     # A stable sort on -level puts the levels >= 0 first.
     rows = np.argsort(-levels_arr, kind="stable")[np.count_nonzero(passed):]
@@ -429,7 +416,6 @@ def _simulate_levels(dyn: _Dynamics, r_disc: float, levels: Sequence[float],
         return record
 
     sampled = levels_arr[rows]
-    lam = _MARK_RATE * r_disc if want_integral else 0.0
     starts = range(0, n, cfg.batch_size)
     children = np.random.SeedSequence(cfg.seed).spawn(len(starts))
 
@@ -440,8 +426,8 @@ def _simulate_levels(dyn: _Dynamics, r_disc: float, levels: Sequence[float],
             _unit_down_batch(dyn, r_disc, sampled, rows, horizon, rng,
                              record, cols)
         else:
-            _event_batch(dyn, r_disc, lam, sampled, rows, horizon,
-                         abandon_level, rng, record, cols)
+            _event_batch(dyn, r_disc, sampled, rows, horizon, abandon_level,
+                         rng, record, cols)
 
     workers = _thread_count()
     if workers > 1 and len(starts) > 1:
@@ -490,9 +476,9 @@ def simulate_hit(model: LevyModel, r: float, x_level: float,
 class PolicyValue:
     """The stop-at-b policy value estimated two ways.
 
-    ``direct`` integrates e^{-rs} (alpha V_s - c) along each path, the
-    part in V_s through the resolvent marks (in closed form for the counter
-    family); ``stopped`` uses the equivalent stopped form
+    ``direct`` integrates e^{-rs} (alpha V_s - c) along each path up to the
+    passage, the part in V_s through the resolvent marks (in closed form
+    for the counter family); ``stopped`` uses the equivalent stopped form
     alpha v/(r - psi(1)) - c/r + E[e^{-r tau} f(V_tau)].  Disagreement
     beyond 4 joint standard errors (``reconciled`` False) flags a bug.
     """
@@ -530,9 +516,7 @@ def policy_value(spec: ProblemSpec, b: float, cfg: SimConfig) -> PolicyValue:
     record = _simulate_levels(dyn, spec.r, [math.log(b / spec.v)], horizon,
                               cfg, want_integral=True)
     stopped = _stopped_values(spec, record)[0]
-    integral = np.where(record.hit[0], record.disc_exp_int[0],
-                        record.final_int)
-    direct = (spec.alpha * spec.v * integral
+    direct = (spec.alpha * spec.v * record.final_int
               - spec.c * (1.0 - np.exp(-spec.r * record.tau[0])) / spec.r)
     diff = _estimate(direct - stopped, 0.0)
     return PolicyValue(b=b, direct=_estimate(direct, record.missed(0)),
@@ -654,15 +638,14 @@ class ClassDResult:
 
 
 def class_d_diagnostic(model: LevyModel, r: float, n_levels: Sequence[int],
-                       cfg: SimConfig,
-                       abandon_depth: float = 10.0) -> ClassDResult:
+                       cfg: SimConfig) -> ClassDResult:
     """Estimate the class-D ladder by simulating Y = rt - X downward.
 
     e^{-rt+X_t} >= n exactly when Y_t <= -ln n, and the payoff at passage
     is e^{-Y}; a diffusion crossing lands on -ln n so its payoff is n with
     no variance beyond the hit indicator.  When the mirrored drift is
-    positive, paths that a jump leaves ``abandon_depth`` or more above the
-    start are abandoned as misses (recovery probability <= e^{-2 m D /
+    positive, paths that a jump leaves ``_ABANDON_DEPTH`` = 10 or more above
+    the start are abandoned as misses (recovery probability <= e^{-2 m D /
     sigma^2}).  n = 1 needs no branch: level 0 is passed at time 0, so its
     payoff is e^0 = 1 on every path.
     """
@@ -676,7 +659,7 @@ def class_d_diagnostic(model: LevyModel, r: float, n_levels: Sequence[int],
         raise ValueError("ladder must be strictly increasing")
     dyn = _Dynamics.from_model(model).mirrored(r)
     horizon = _resolve_horizon(cfg, r, growth)
-    abandon = abandon_depth if (dyn.m > 0 and dyn.sigma > 0) else None
+    abandon = _ABANDON_DEPTH if (dyn.m > 0 and dyn.sigma > 0) else None
     record = _simulate_levels(dyn, 0.0, -np.log(ns.astype(float)), horizon,
                               cfg, want_integral=False,
                               abandon_level=abandon)

@@ -245,10 +245,12 @@ def psi(model: LevyModel, lam):
     Accepts a scalar or an array.  Raises ``ValueError`` at or beyond the
     jump-rate poles, where the defining expectation diverges: lam >= eta1
     for families with upward jumps, lam <= -eta2 for families with downward
-    jumps.
+    jumps, and at NaN.
     """
     import numpy as np
     lam_arr = np.asarray(lam, dtype=float)
+    if np.isnan(lam_arr).any():
+        raise ValueError("psi is undefined at lam = NaN")
     for pole in model.poles:
         beyond = lam_arr >= pole if pole > 0 else lam_arr <= pole
         if np.any(beyond):

@@ -151,8 +151,10 @@ def candidate_value(spec: ProblemSpec, b: float, v: ArrayLike,
                          f"candidate value to be positive; got {b:.6g}")
     import numpy as np
     v_arr = np.asarray(v, dtype=float)
-    if not np.all(v_arr > 0):
-        raise ValueError("v must be positive")
+    # NaN fails both tests; ``initial`` lets an empty v through.
+    if not (0 < v_arr.min(initial=math.inf)
+            and v_arr.max(initial=0.0) < math.inf):
+        raise ValueError("v must be positive and finite")
     x = np.log(np.minimum(b / v_arr, 1.0))
     denom = spec.r - spec.psi1
     out = (-spec.alpha * v_arr / denom * transforms._passage(x, True)

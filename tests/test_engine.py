@@ -175,7 +175,8 @@ def test_value_function_rejects_nonpositive_v():
     for spec in sample_specs():
         w = value_function(spec)
         for v in (0.0, -1.0, np.array([1.0, 0.0]), np.array([-2.0]),
-                  np.nan, np.array([1.0, np.nan])):
+                  np.nan, np.array([1.0, np.nan]), np.inf,
+                  np.array([1.0, np.inf])):
             with pytest.raises(ValueError, match="v must be positive"):
                 w(v)
 

@@ -17,6 +17,7 @@ from levystop.mc import (McEstimate, SimConfig, class_d_diagnostic,
                          sample_increment, simulate_hit, sweep)
 from levystop.models import (BrownianDrift, ExpJD, KouJD, NegPoisson,
                              ProblemSpec, SpectNegKou, psi)
+from levystop.transforms import HittingTransforms
 
 BM = BrownianDrift(m=0.0, sigma=1.0)
 BM_SPEC = ProblemSpec(model=BM, r=1.0, alpha=1.0, c=1.0, v=1.0)
@@ -119,14 +120,13 @@ def test_levels_in_any_order_and_sign_share_one_ladder():
         ladder = mc._simulate_levels(dyn, 1.0, [-0.2, -0.9, -1.5], 8.0, cfg,
                                      want_integral=True)
         assert ladder.hit.any(), model.family
-        for field in ("tau", "x_hit", "hit", "disc_exp_int"):
+        for field in ("tau", "x_hit", "hit"):
             assert (getattr(mixed, field)[[2, 4, 0]].tobytes()
                     == getattr(ladder, field).tobytes()), field
         assert mixed.final_int.tobytes() == ladder.final_int.tobytes()
         for j in (1, 3):
             assert np.all(mixed.tau[j] == 0.0) and np.all(mixed.hit[j])
             assert np.all(mixed.x_hit[j] == 0.0)
-            assert np.all(mixed.disc_exp_int[j] == 0.0)
     # The mirrored counter never moves down: an all-miss record.
     dyn = mc._Dynamics.from_model(NegPoisson(a=1.0)).mirrored(1.0)
     record = mc._simulate_levels(dyn, 0.0, [-2.0, 0.0, -0.5], 8.0, cfg,
@@ -247,6 +247,28 @@ def test_resolvent_integral_matches_its_mean_at_the_horizon():
             model.family
 
 
+def test_resolvent_integral_stops_at_the_passage():
+    # The record's integral runs to the passage tau of a level x the paths
+    # reach, where optional stopping gives E[int_0^tau e^{-rs + X_s} ds] =
+    # (1 - G(x)) / (r - psi(1)); the default horizon adds below e^-50.
+    # r > psi(2) / 2 for every model keeps the integral's variance finite.
+    r, x = 2.5, -1.2
+    cfg = SimConfig(n_paths=20000, seed=31)
+    for model in (BM, KOU, ExpJD(m=-0.3, sigma=0.8, a=0.8, eta1=2.5),
+                  NegPoisson(a=3.0),
+                  SpectNegKou(m=0.1, sigma=0.7, a=0.9, eta2=1.8)):
+        growth = psi(model, 1.0)
+        record = mc._simulate_levels(mc._Dynamics.from_model(model), r, [x],
+                                     mc._resolve_horizon(cfg, r, growth),
+                                     cfg, want_integral=True)
+        assert record.hit.any(), model.family
+        want = (1.0 - HittingTransforms(model, r).G(x)) / (r - growth)
+        se = float(np.std(record.final_int, ddof=1)) / math.sqrt(
+            cfg.n_paths)
+        assert abs(float(np.mean(record.final_int)) - want) < 4.0 * se, \
+            model.family
+
+
 def test_policy_value_reconciles_and_matches_analytic():
     res = threshold(BM_SPEC)
     w = value_function(BM_SPEC, res)
@@ -351,16 +373,21 @@ def test_truncation_fraction_counts_horizon_survivors():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="n_paths"):
-        SimConfig(n_paths=0)
+    for n_paths in (0, math.nan, 2.5, 1000.0):
+        with pytest.raises(ValueError, match="n_paths"):
+            SimConfig(n_paths=n_paths)
     for dt in (0.0, math.nan):
         with pytest.raises(ValueError, match="dt"):
             SimConfig(n_paths=10, dt=dt)
     for horizon in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="horizon"):
             SimConfig(n_paths=10, horizon=horizon)
-    with pytest.raises(ValueError, match="batch_size"):
-        SimConfig(n_paths=10, batch_size=0)
+    for batch_size in (0, math.nan, 512.5):
+        with pytest.raises(ValueError, match="batch_size"):
+            SimConfig(n_paths=10, batch_size=batch_size)
+    # numpy integers are integers
+    cfg = SimConfig(n_paths=np.int64(10), batch_size=np.int32(4))
+    assert cfg.n_paths == 10 and cfg.batch_size == 4
 
 
 def test_argument_validation():

@@ -108,6 +108,12 @@ def test_psi_pole_rejection():
     # vector input with one bad entry must also raise
     with pytest.raises(ValueError):
         psi(kou, np.array([0.5, 3.0]))
+    # NaN is no point of any domain: an error, never a silent NaN
+    for model in (kou, BrownianDrift(m=0.0, sigma=1.0), NegPoisson(a=1.0)):
+        with pytest.raises(ValueError, match="NaN"):
+            psi(model, math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        psi(kou, np.array([0.5, np.nan]))
 
 
 def test_parameter_validation():
