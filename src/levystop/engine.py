@@ -183,18 +183,15 @@ _TANGENCY_TOL = 1e-6
 
 
 def convexity_report(spec: ProblemSpec,
-                     result: Optional[ThresholdResult] = None, *,
-                     on_failure: str = "raise") -> ConvexityReport:
+                     result: Optional[ThresholdResult] = None
+                     ) -> ConvexityReport:
     """Check convexity of s beyond B_c and the smooth-fit tangency.
 
     Applies to the G-continuous regime only; the theory for the pure
-    counter rests on the jump ratio instead, and its s has kinks.  With
-    ``on_failure="raise"`` (default) a violated hypothesis raises, since
-    the optimality argument has no fallback; ``"report"`` returns the
-    diagnostics regardless.
+    counter rests on the jump ratio instead, and its s has kinks.  The
+    report is returned whether or not the hypotheses hold; ``ok`` says
+    which.
     """
-    if on_failure not in ("raise", "report"):
-        raise ValueError("on_failure must be 'raise' or 'report'")
     import numpy as np
     vf = value_function(spec, result)
     if vf.result.regime != G_CONTINUOUS:
@@ -212,15 +209,10 @@ def convexity_report(spec: ProblemSpec,
     f_slope = -spec.alpha / (spec.r - spec.psi1)
     gap = abs(slope - f_slope)
 
-    report = ConvexityReport(family=spec.model.family, b_c=b_c,
-                             min_second_diff=min_second, tangency_gap=gap,
-                             convex_ok=min_second > 0.0,
-                             tangency_ok=gap < _TANGENCY_TOL)
-    if not report.ok and on_failure == "raise":
-        raise ArithmeticError(f"optimality hypotheses failed at B_c={b_c}: "
-                              f"min second difference {min_second}, "
-                              f"tangency gap {gap}")
-    return report
+    return ConvexityReport(family=spec.model.family, b_c=b_c,
+                           min_second_diff=min_second, tangency_gap=gap,
+                           convex_ok=min_second > 0.0,
+                           tangency_ok=gap < _TANGENCY_TOL)
 
 
 def epsilon_region(spec: ProblemSpec, result: Optional[ThresholdResult],

@@ -58,7 +58,6 @@ __all__ = [
     "hitting_estimates",
     "policy_value",
     "sample_increment",
-    "simulate_hit",
     "sweep",
 ]
 
@@ -387,11 +386,12 @@ def _simulate_levels(dyn: _Dynamics, r_disc: float, levels: Sequence[float],
     """Passages of ``levels``, any order and sign, one row each in order.
 
     A level >= 0 is passed at time 0 (``tau`` 0, ``x_hit`` 0, ``hit``
-    True).  The negative ones go to the sampler shallowest
-    first, by a stable sort, and each batch writes its columns of one
-    record that starts as all misses.  Nondecreasing dynamics (the mirrored
-    counter) never reach a negative level and get that record unsampled.
-    Requests with ``want_integral`` run the event sampler with a mark clock
+    True), and a level of -inf is never passed; neither is sampled, and
+    ``final_int`` stops at the deepest finite level.  The other levels go
+    to the sampler shallowest first, by a stable sort, and each batch
+    writes its columns of one record that starts as all misses.
+    Nondecreasing dynamics (the mirrored counter) never reach a negative
+    level and get that record unsampled.  Requests with ``want_integral`` run the event sampler with a mark clock
     of rate ``_MARK_RATE * r_disc``; passage-only ones run it without one.
     Only the event sampler reads ``abandon_level``.
     """
@@ -410,8 +410,11 @@ def _simulate_levels(dyn: _Dynamics, r_disc: float, levels: Sequence[float],
         tau=np.repeat(np.where(passed, 0.0, horizon)[:, None], n, axis=1),
         x_hit=np.zeros(shape), hit=np.repeat(passed[:, None], n, axis=1),
         final_int=np.zeros(n) if want_integral else None)
-    # A stable sort on -level puts the levels >= 0 first.
-    rows = np.argsort(-levels_arr, kind="stable")[np.count_nonzero(passed):]
+    # A stable sort on -level puts the levels >= 0 first and -inf last;
+    # neither is sampled.
+    never = np.count_nonzero(levels_arr == -np.inf)
+    rows = np.argsort(-levels_arr, kind="stable")[
+        np.count_nonzero(passed):levels_arr.size - never]
     if not rows.size or dyn.unit > 0:
         return record
 
@@ -466,12 +469,6 @@ def hitting_estimates(model: LevyModel, r: float, levels: Sequence[float],
     return out
 
 
-def simulate_hit(model: LevyModel, r: float, x_level: float,
-                 cfg: SimConfig) -> Tuple[McEstimate, McEstimate]:
-    """(L, G) estimates at one strictly negative level."""
-    return hitting_estimates(model, r, [x_level], cfg)[0]
-
-
 @dataclass(frozen=True)
 class PolicyValue:
     """The stop-at-b policy value estimated two ways.
@@ -481,6 +478,9 @@ class PolicyValue:
     for the counter family); ``stopped`` uses the equivalent stopped form
     alpha v/(r - psi(1)) - c/r + E[e^{-r tau} f(V_tau)].  Disagreement
     beyond 4 joint standard errors (``reconciled`` False) flags a bug.
+    Trust the direct form's standard error, and so ``reconciled``, only
+    when 2 r > psi(2): a path may rise without bound before its passage,
+    and otherwise only the horizon keeps its second moment finite.
     """
 
     b: float
@@ -562,8 +562,10 @@ def sweep(spec: ProblemSpec, b_grid: Sequence[float],
         raise ValueError("b_grid must be strictly ascending")
     dyn = _Dynamics.from_model(spec.model)
     horizon = _resolve_horizon(cfg, spec.r, spec.psi1)
-    record = _simulate_levels(dyn, spec.r, np.log(grid / spec.v), horizon,
-                              cfg, want_integral=False)
+    with np.errstate(divide="ignore"):  # b / v may underflow to 0
+        levels = np.log(grid / spec.v)
+    record = _simulate_levels(dyn, spec.r, levels, horizon, cfg,
+                              want_integral=False)
     values = _stopped_values(spec, record)
     estimates = [_estimate(values[i], record.missed(i))
                  for i in range(grid.size)]

@@ -228,6 +228,18 @@ def test_sweep_reruns_are_byte_identical(tmp_path, spec_path):
     assert sum(int(row[5]) for row in rows[1:]) == 1  # exactly one argmax
 
 
+def test_counter_sweep_serves_a_b_that_underflows_against_v(tmp_path):
+    # b / v underflows to 0, so the level is -inf: never passed, not a crash.
+    doc = {"model": {"family": "neg_poisson", "a": 1.0}, "r": 0.5,
+           "alpha": 1.0, "c": 1.0, "v": 3.2}
+    proc = run_cli("sweep", "--spec", write_spec(tmp_path, doc), "--grid",
+                   "5e-324:1:3", "--paths", "100")
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.reader(io.StringIO(proc.stdout)))
+    assert len(rows) == 4
+    assert rows[1][4] == "1"  # every path misses the -inf level
+
+
 def test_threshold_feeds_simulate_round_trip(tmp_path, spec_path):
     proc = run_cli("threshold", "--spec", spec_path)
     b_c = json.loads(proc.stdout)["b_c"]

@@ -242,11 +242,6 @@ def test_convexity_report_rejects_discontinuous_regime():
         convexity_report(spec)
 
 
-def test_convexity_report_on_failure_validation():
-    spec = sample_specs()[0]
-    with pytest.raises(ValueError):
-        convexity_report(spec, on_failure="ignore")
-
 
 def test_epsilon_region_brackets_threshold_and_inverts_w():
     for spec in sample_specs():

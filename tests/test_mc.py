@@ -14,7 +14,7 @@ from levystop import mc
 from levystop.engine import epsilon_region, threshold, value_function
 from levystop.mc import (McEstimate, SimConfig, class_d_diagnostic,
                          epsilon_stop_paths, hitting_estimates, policy_value,
-                         sample_increment, simulate_hit, sweep)
+                         sample_increment, sweep)
 from levystop.models import (BrownianDrift, ExpJD, KouJD, NegPoisson,
                              ProblemSpec, SpectNegKou, psi)
 from levystop.transforms import HittingTransforms
@@ -28,8 +28,8 @@ KOU = KouJD(m=0.1, sigma=0.3, a=0.5, p=0.4, eta1=3.0, eta2=2.0)
 
 def test_same_seed_same_estimates_bitwise():
     cfg = SimConfig(n_paths=4000, dt=0.01, horizon=6.0, seed=123)
-    first = simulate_hit(BM, 1.0, -0.4, cfg)
-    second = simulate_hit(BM, 1.0, -0.4, cfg)
+    first = hitting_estimates(BM, 1.0, [-0.4], cfg)[0]
+    second = hitting_estimates(BM, 1.0, [-0.4], cfg)[0]
     assert first == second  # dataclass equality: every float identical
 
 
@@ -61,8 +61,8 @@ def test_batch_partition_fixes_the_stream():
                       batch_size=500)
     cfg_b = SimConfig(n_paths=2000, dt=0.02, horizon=4.0, seed=5,
                       batch_size=500)
-    assert simulate_hit(BM, 1.0, -0.3, cfg_a) == simulate_hit(
-        BM, 1.0, -0.3, cfg_b)
+    assert hitting_estimates(BM, 1.0, [-0.3], cfg_a) == hitting_estimates(
+        BM, 1.0, [-0.3], cfg_b)
 
 
 def test_passage_times_monotone_in_depth():
@@ -188,18 +188,18 @@ def test_positive_drift_passage_is_defective():
 
 
 def test_standard_error_shrinks_like_root_n():
-    small = simulate_hit(BM, 1.0, -0.5,
-                         SimConfig(n_paths=2000, dt=0.01, seed=11))
-    big = simulate_hit(BM, 1.0, -0.5,
-                       SimConfig(n_paths=32000, dt=0.01, seed=11))
+    small = hitting_estimates(BM, 1.0, [-0.5],
+                              SimConfig(n_paths=2000, dt=0.01, seed=11))[0]
+    big = hitting_estimates(BM, 1.0, [-0.5],
+                            SimConfig(n_paths=32000, dt=0.01, seed=11))[0]
     ratio = small[0].std_error / big[0].std_error
     assert 2.8 < ratio < 5.7  # 16x paths => ~4x
 
 
 def test_brownian_passage_transforms_within_monte_carlo_error():
     x = -0.5
-    est_l, est_g = simulate_hit(BM, 1.0, x,
-                                SimConfig(n_paths=20000, dt=1e-3, seed=14))
+    est_l, est_g = hitting_estimates(
+        BM, 1.0, [x], SimConfig(n_paths=20000, dt=1e-3, seed=14))[0]
     lam = math.sqrt(2.0)
     assert abs(est_l.mean - math.exp(lam * x)) < 4.0 * est_l.std_error
     # no upward jumps: the passage creeps, X_tau = x exactly
@@ -214,7 +214,7 @@ def test_counter_family_hits_are_exact_geometrics():
     cfg = SimConfig(n_paths=20000, horizon=60.0, seed=17)
     model = NegPoisson(a=1.0)
     gamma = 1.0 / 1.5  # a / (r + a)
-    est_l, est_g = simulate_hit(model, 0.5, -1.4, cfg)
+    est_l, est_g = hitting_estimates(model, 0.5, [-1.4], cfg)[0]
     # level in the second bucket: two jumps needed
     assert abs(est_l.mean - gamma ** 2) < 4.0 * est_l.std_error
     assert abs(est_g.mean - (gamma / math.e) ** 2) < 4.0 * est_g.std_error
@@ -227,6 +227,21 @@ def test_hitting_estimates_preserve_input_order():
     assert shallow_first[0] == deep_first[1]
     assert shallow_first[1] == deep_first[0]
     assert shallow_first[0][0].mean > shallow_first[1][0].mean
+
+
+def test_level_minus_inf_is_never_passed():
+    # A level of -inf (a b that underflows against v) is an all-miss row,
+    # and the other rows are, bit for bit, those of the request without it.
+    cfg = SimConfig(n_paths=2000, horizon=8.0, seed=27)
+    for model, r in ((BM, 1.0), (KOU, 1.0),
+                     (ExpJD(m=-0.3, sigma=0.8, a=0.8, eta1=2.5), 2.0),
+                     (NegPoisson(a=1.0), 0.5),
+                     (SpectNegKou(m=0.1, sigma=0.7, a=0.9, eta2=1.8), 2.0)):
+        never, hit = hitting_estimates(model, r, [-math.inf, -1.0], cfg)
+        for est in never:
+            assert est.mean == 0.0 and est.truncation_fraction == 1.0
+        assert hit == hitting_estimates(model, r, [-1.0], cfg)[0], \
+            model.family
 
 
 def test_resolvent_integral_matches_its_mean_at_the_horizon():
@@ -365,7 +380,7 @@ def test_exact_increment_sampler_matches_exponent():
 
 def test_truncation_fraction_counts_horizon_survivors():
     cfg = SimConfig(n_paths=2000, dt=0.01, horizon=0.25, seed=49)
-    est_l, est_g = simulate_hit(BM, 1.0, -4.0, cfg)
+    est_l, est_g = hitting_estimates(BM, 1.0, [-4.0], cfg)[0]
     assert est_l.truncation_fraction > 0.9
     assert est_l.mean < 0.05
     assert est_l.n_effective == 2000
@@ -393,7 +408,7 @@ def test_config_validation():
 def test_argument_validation():
     cfg = SimConfig(n_paths=10, dt=0.1, horizon=1.0)
     with pytest.raises(ValueError, match="negative"):
-        simulate_hit(BM, 1.0, 0.0, cfg)
+        hitting_estimates(BM, 1.0, [0.0], cfg)
     with pytest.raises(ValueError, match="r must be positive"):
         hitting_estimates(BM, 0.0, [-1.0], cfg)
     with pytest.raises(ValueError, match="negative"):
