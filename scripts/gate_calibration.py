@@ -37,17 +37,21 @@ statistics were independent standard normals:
 
     criterion  tested statistics                  observed     independent
     AC-2       3 deficits of B_c, one-sided 1 SE  0/200 (0%)   40.4%
-    AC-3       6 |z| < 3, 3 reconciliations 4 SE  6/200 (3.0%)  1.6%
-    AC-4       50 |z| < 3                         11/200 (5.5%) 12.6%
+    AC-3       6 |z| < 3, 3 reconciliations 4 SE  7/200 (3.5%)  1.6%
+    AC-4       50 |z| < 3                         12/200 (6.0%) 12.6%
+    AC-8       slope in -1 +- 0.15, monotone      0/200 (0%)    -
     AC-9       1 |z| < 3                          0/200 (0%)    0.27%
 
 AC-2's deficit is no normal z: B_c was the argmax of every family in every
-run, so the deficit was exactly 0.  AC-3's six failures are all of the
-heavy-tailed direct form (2, 3 and 1 at v = 1.2, 2 and 5 B_c), one with a
-failed reconciliation.  AC-4's 50 statistics are correlated (10 per path
-set), so its rate lies below the independent one.  The committed runs
-print the gate's own margins: AC-3 max |z| 2.114, AC-4 1.988, AC-9 z
-+2.000, and AC-2 plateaus of 1, 1 and 9 points around B_c.
+run, so the deficit was exactly 0.  AC-3's seven failures are all of the
+heavy-tailed direct form (2, 2 and 3 at v = 1.2, 2 and 5 B_c), none with a
+failed reconciliation; the stopped form's mean z stayed within 0.07 of 0.
+AC-4's 50 statistics are correlated (10 per path set), so its rate lies
+below the independent one; by family its failures were brownian 2,
+neg_poisson 0, kou 7, expjd 1 and spectneg_kou 4.  AC-8's slope read
+-1.000 with SD 0.017.  The committed runs print the gate's own margins:
+AC-3 max |z| 2.524, AC-4 2.532, AC-9 z +2.000, and AC-2 plateaus of 1, 1
+and 9 points around B_c.
 
 Example:
     PYTHONPATH=src python3 scripts/gate_calibration.py --criteria ac3 \\

@@ -8,12 +8,12 @@ current segment (or jump) still crosses the next level.  Sharing one pass
 across levels is what makes the b-sweep exact common random numbers.
 
 Every family but the counter uses one exact event-driven sampler with no
-time grid.  Paths step from event to event; each diffusion segment draws
-its Gaussian endpoint, tests the pending levels against the exact law of
-the Brownian-bridge minimum and draws each crossing time from the bridge
-first-passage law (Metwally & Atiya 2002, J. Derivatives 10(1)).  The
-counter family is sampled exactly, jump by jump.  The only bias left is
-the horizon truncation.
+time grid.  Each pass draws a block of events for every live path; each
+diffusion segment is tested against the exact law of the Brownian-bridge
+minimum, one vectorised test finds each path's earliest crossing in the
+block, and crossing times come from the bridge first-passage law (Metwally
+& Atiya 2002, J. Derivatives 10(1)).  The counter family is sampled
+exactly, jump by jump.  The only bias left is the horizon truncation.
 
 Most estimators need only the passage (tau, X_tau): the transforms L and
 G, the eps-stopping times, the class-D ladder and the policy value in its
@@ -57,7 +57,6 @@ __all__ = [
     "epsilon_stop_paths",
     "hitting_estimates",
     "policy_value",
-    "sample_increment",
     "sweep",
 ]
 
@@ -108,9 +107,11 @@ class McEstimate:
 
 
 def _estimate(values: np.ndarray, truncated: float) -> McEstimate:
-    n = values.size
+    n, mean = values.size, float(np.mean(values))
     se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return McEstimate(mean=float(np.mean(values)), std_error=se,
+    if se < 1e-12 * abs(mean) and np.all(values == values[0]):
+        se = 0.0  # a constant sample, where np.std leaves rounding noise
+    return McEstimate(mean=mean, std_error=se,
                       n_effective=n, truncation_fraction=float(truncated))
 
 
@@ -193,47 +194,49 @@ class PassageRecord:
         return 1.0 - float(np.mean(self.hit[j]))
 
 
-def _jump_crossings(levels: np.ndarray, pend: np.ndarray, x: np.ndarray,
-                    lanes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Advance ``pend`` past the levels that jumps landing at ``x`` pass.
+def _jump_crossings(levels: np.ndarray, pend: np.ndarray, lanes: np.ndarray,
+                    land: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Advance ``pend`` past the levels that jumps landing at ``land`` pass.
 
     Levels descend, so a jump passes every pending level at or above its
-    landing point.  Returns the lanes and level indices of the passages,
-    one entry per passage.
+    landing point.  Returns, one entry per passage, the position in
+    ``lanes`` of the jump and the level index passed.
     """
     old = pend[lanes]
-    stop = np.searchsorted(-levels, -x[lanes], side="right")
+    stop = np.searchsorted(-levels, -land, side="right")
     moved = np.flatnonzero(stop > old)
-    if not moved.size:
-        return moved, moved
-    lanes, old, stop = lanes[moved], old[moved], stop[moved]
-    pend[lanes] = stop
+    old, stop = old[moved], stop[moved]
+    pend[lanes[moved]] = stop
     count = stop - old
     j = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - old,
                                            count)
-    return np.repeat(lanes, count), j
+    return np.repeat(moved, count), j
+
+
+def _bridge_test(expo, alpha, beta, var_dt) -> np.ndarray:
+    """Exp(1) test of P(min <= level) = min(1, exp(-2 alpha beta / var_dt))."""
+    return 0.5 * expo * var_dt >= alpha * beta
 
 
 def _bridge_crossings(rng: np.random.Generator, alpha: np.ndarray,
-                      beta: np.ndarray, var_dt: np.ndarray
+                      beta: np.ndarray, var_dt: np.ndarray,
+                      expo: Optional[np.ndarray] = None
                       ) -> Tuple[np.ndarray, np.ndarray]:
     """Which Brownian-bridge segments reach their level, and when.
 
     Segment i starts ``alpha[i]`` >= 0 above its level, ends ``beta[i]``
-    above it and has variance ``var_dt[i]`` = sigma^2 delta.  One Exp(1)
-    draw per segment tests the crossing against the exact bridge-minimum
-    law P(min <= level) = exp(-2 alpha beta / var_dt), which is 1 when
-    beta <= 0.  Returns the positions of the crossing segments and the
-    elapsed fraction s of each at its passage: s / (1 - s) is inverse
+    above it, has variance ``var_dt[i]`` = sigma^2 delta and Exp(1) test
+    draw ``expo[i]`` (fresh when None).  Returns the crossing positions and
+    the elapsed fraction s of each at its passage: s / (1 - s) is inverse
     Gaussian with mean alpha / |beta| and shape alpha^2 / var_dt.  Past a
     mean of 1e12 shapes (beta = 0 among them), where Generator.wald loses
     precision, its Levy limit shape / Z^2 is drawn instead.  A segment that
     starts on its level (alpha = 0: a level equal to the one just passed)
     or has zero length crosses at its start when it crosses at all.
     """
-    expo = rng.standard_exponential(alpha.size)
-    crossed = np.flatnonzero((beta <= 0) | (alpha <= 0)
-                             | (0.5 * expo * var_dt > alpha * beta))
+    if expo is None:
+        expo = rng.standard_exponential(alpha.size)
+    crossed = np.flatnonzero(_bridge_test(expo, alpha, beta, var_dt))
     alpha, beta, var_dt = alpha[crossed], beta[crossed], var_dt[crossed]
     frac = np.zeros(crossed.size)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -244,11 +247,14 @@ def _bridge_crossings(rng: np.random.Generator, alpha: np.ndarray,
         shape = shape[draw]
         mean = mean[draw]
         ig = mean < 1e12 * shape
-        u = np.empty(draw.size)
-        u[ig] = rng.wald(mean[ig], shape[ig])
-        levy = ~ig
-        u[levy] = shape[levy] / np.square(rng.standard_normal(
-            int(np.count_nonzero(levy))))
+        if ig.all():  # the common case, without masked copies
+            u = rng.wald(mean, shape)
+        else:
+            u = np.empty(draw.size)
+            u[ig] = rng.wald(mean[ig], shape[ig])
+            levy = ~ig
+            u[levy] = shape[levy] / np.square(rng.standard_normal(
+                int(np.count_nonzero(levy))))
         with np.errstate(divide="ignore"):
             frac[draw] = 1.0 / (1.0 + 1.0 / u)
     return crossed, frac
@@ -260,31 +266,32 @@ def _event_batch(dyn: _Dynamics, r_disc: float, levels: np.ndarray,
                  out: PassageRecord, cols: slice) -> None:
     """Exact first-passage sampler for a diffusion with compound Poisson jumps.
 
-    Each lane steps from event to event, with no time grid: it draws the
-    next Exp(a + lam) event gap (none when a + lam = 0, so a Brownian
-    motion takes a single segment), clips the segment at the horizon and
-    draws its Gaussian endpoint.  ``_bridge_crossings`` tests and times the
-    passage of the next pending level; after a passage the bridge restarts
-    from (tau, l) for the level below, which the Markov property allows.
-    An event is a mark with probability lam / (a + lam) and a jump
-    otherwise; the uniform that decides is drawn only when both can occur,
-    so lam = 0 reproduces the passage-only draws exactly.  The clock runs,
-    at lam = ``_MARK_RATE`` r, only when ``out`` has room for the integral;
-    a mark adds e^{-r t + X_t} / lam to it while a level is pending.
-    A jump passes every pending level at or above its landing point.
-    Lanes retire when every level is passed, at the horizon, or, with
-    ``abandon_level`` set, when an event leaves them at or above it.
-    Passages of ``levels[j]`` are written into row ``rows[j]``, columns
-    ``cols``, of ``out``, which arrives as all misses.
+    Lanes step from event to event with no time grid, ``w`` events per pass:
+    ``_BLOCK_EVENTS`` // live lanes, clamped to [1, ``_BLOCK_MAX``], or one
+    segment to the horizon when a + lam = 0.  A pass draws each lane's
+    Exp(a + lam) gaps, Gaussian segment endpoints, Exp(1) bridge-test draws,
+    event types and jumps, and finds its earliest crossing of the pending
+    level: a segment whose ``_bridge_test`` fires, or a jump landing at or
+    below it.  ``_bridge_crossings`` times it and cascades through deeper
+    levels with fresh draws from (tau, l), as the Markov property allows;
+    the segment's jump passes every level at or above its landing point,
+    and the rest of the block is tested against the new pending level.  No
+    step reads a later event's draws, so the pass is exact.  An event is a
+    mark with probability lam / (a + lam), by a uniform drawn only when both
+    can occur; at lam = ``_MARK_RATE`` r when ``out`` has room for the
+    integral, each mark before the final passage adds e^{-r t + X_t} / lam.
+    Lanes retire when every level is passed, at the horizon, or when an
+    event leaves them at or above ``abandon_level``.  Passages of
+    ``levels[j]`` go to row ``rows[j]``, columns ``cols``, of ``out``.
     """
     n_levels = len(levels)
     lam = _MARK_RATE * r_disc if out.final_int is not None else 0.0
 
     def record(j, lanes, t_cross, x_cross) -> None:
-        row, col = rows[j], idx[lanes]
-        out.tau[row, col] = t_cross
-        out.x_hit[row, col] = x_cross
-        out.hit[row, col] = True
+        at = rows[j] * out.hit.shape[1] + idx[lanes]  # C-contiguous rows
+        out.tau.ravel()[at] = t_cross
+        out.x_hit.ravel()[at] = x_cross
+        out.hit.ravel()[at] = True
 
     # Compact per-lane state; idx maps lanes back to columns of ``out``.
     idx = np.arange(cols.start, cols.stop)
@@ -295,48 +302,99 @@ def _event_batch(dyn: _Dynamics, r_disc: float, levels: np.ndarray,
     pend = np.zeros(n, dtype=np.int64)
     var = dyn.sigma * dyn.sigma
     rate = dyn.a + lam
+    abandon = math.inf if abandon_level is None else abandon_level
     while idx.size:
+        # Block arrays are (lane, event); X goes seg_start, seg_end, land.
         k = idx.size
-        gap = rng.standard_exponential(k) / rate if rate > 0 else math.inf
-        t1 = np.minimum(t + gap, horizon)
-        delta = t1 - t
-        x1 = x + dyn.m * delta + dyn.sigma * np.sqrt(delta) * \
-            rng.standard_normal(k)
-        # Every live lane has a pending level.
-        cas, t0, x0 = np.arange(k), t, x
-        while cas.size:
-            lev = levels[pend[cas]]
-            crossed, frac = _bridge_crossings(rng, x0 - lev, x1[cas] - lev,
-                                              var * (t1[cas] - t0))
-            if not crossed.size:
+        w = min(max(_BLOCK_EVENTS // k, 1), _BLOCK_MAX) if rate > 0 else 1
+        if rate > 0:
+            ends = rng.standard_exponential((k, w)) / rate
+            if w > 1:
+                np.cumsum(ends, axis=1, out=ends)
+            np.minimum(ends + t[:, None], horizon, out=ends)
+            event = ends < horizon
+        else:
+            ends, event = np.full((k, 1), horizon), np.False_
+        starts = np.concatenate((t[:, None], ends[:, :-1]), axis=1)
+        delta = ends - starts
+        steps = np.sqrt(delta) * dyn.sigma
+        steps *= rng.standard_normal((k, w))
+        steps += dyn.m * delta
+        expo = rng.standard_exponential((k, w))
+        is_mark = (rng.random((k, w)) < lam / rate if lam > 0 and dyn.a > 0
+                   else np.bool_(lam > 0))
+        land = steps.copy()
+        if dyn.a > 0:
+            at = np.flatnonzero(event & ~is_mark)
+            land.ravel()[at] += _draw_jumps(dyn, rng, at.size)
+        if w > 1:
+            np.cumsum(land, axis=1, out=land)
+        land += x[:, None]
+        seg_start = np.concatenate((x[:, None], land[:, :-1]), axis=1)
+        seg_end = seg_start + steps if dyn.a > 0 else land
+        var_dt = var * delta
+        # Each lane retires at the event in column ``last`` (w: it lives on).
+        last = np.full(k, w)
+        sub, first = slice(None), None
+        while True:
+            lev = levels[pend[sub]][:, None]
+            seg_hit = _bridge_test(expo[sub], seg_start[sub] - lev,
+                                   seg_end[sub] - lev, var_dt[sub])
+            stop = seg_hit | (land[sub] <= lev)
+            if abandon_level is not None:  # the last column retires below
+                stop[:, :-1] |= land[sub][:, :-1] >= abandon
+            if first is not None:
+                stop &= np.arange(w) >= first[:, None]
+            # Flat positions run lane-major: keep each lane's earliest stop.
+            pos = np.flatnonzero(stop)
+            if not pos.size:
                 break
-            lanes = cas[crossed]
-            t_cross = np.minimum(t0[crossed] + (t1[lanes] - t0[crossed])
-                                 * frac, t1[lanes])
-            record(pend[lanes], lanes, t_cross, lev[crossed])
-            pend[lanes] += 1
-            more = pend[lanes] < n_levels
-            cas, t0, x0 = lanes[more], t_cross[more], lev[crossed][more]
-        t, x = t1, x1
-        jumping = np.flatnonzero(t < horizon)
-        if lam > 0 and jumping.size:
+            row = pos // w
+            if w > 1:
+                pos = pos[np.concatenate(([True], row[1:] != row[:-1]))]
+                row = pos // w
+            col = pos % w
+            lanes = row if first is None else sub[row]
+            flat = pos if first is None else lanes * w + col
+            # A crossing segment passes its test again on the same draw.
+            hit = np.flatnonzero(seg_hit.ravel()[pos])
+            cas, at = lanes[hit], flat[hit]
+            t0, t1 = starts.ravel()[at], ends.ravel()[at]
+            x0, x1 = seg_start.ravel()[at], seg_end.ravel()[at]
+            draws = expo.ravel()[at]
+            while cas.size:
+                lev = levels[pend[cas]]
+                crossed, frac = _bridge_crossings(rng, x0 - lev, x1 - lev,
+                                                  var * (t1 - t0), draws)
+                draws = None
+                cas, t0, t1 = cas[crossed], t0[crossed], t1[crossed]
+                x1, lev = x1[crossed], lev[crossed]
+                t_cross = np.minimum(t0 + (t1 - t0) * frac, t1)
+                record(pend[cas], cas, t_cross, lev)
+                pend[cas] += 1
+                more = np.flatnonzero(pend[cas] < n_levels)
+                cas, t0, x0 = cas[more], t_cross[more], lev[more]
+                t1, x1 = t1[more], x1[more]
             if dyn.a > 0:
-                is_mark = rng.random(jumping.size) < lam / rate
-                marks, jumping = jumping[is_mark], jumping[~is_mark]
-            else:
-                marks, jumping = jumping, jumping[:0]
-            marks = marks[pend[marks] < n_levels]
-            acc[marks] += np.exp(x[marks] - r_disc * t[marks]) / lam
-        if jumping.size:
-            x[jumping] += _draw_jumps(dyn, rng, jumping.size)
-            lanes, j = _jump_crossings(levels, pend, x, jumping)
-            if lanes.size:
-                record(j, lanes, t[lanes], x[lanes])
-        keep = (pend < n_levels) & (t < horizon)
-        if abandon_level is not None:
-            keep &= x < abandon_level
+                moved, j = _jump_crossings(levels, pend, lanes,
+                                           land.ravel()[flat])
+                at = flat[moved]
+                record(j, lanes[moved], ends.ravel()[at], land.ravel()[at])
+            done = (pend[lanes] == n_levels) | (land.ravel()[flat] >= abandon)
+            last[lanes[done]] = col[done]
+            go = np.flatnonzero(~done & (col + 1 < w))
+            if not go.size:
+                break
+            sub, first = lanes[go], col[go] + 1
+        t, x = ends[:, -1], land[:, -1]
+        live = (last == w) & (t < horizon) & (x < abandon)
         if lam > 0:
-            out.final_int[idx[~keep]] = acc[~keep]
+            pos = np.flatnonzero(event & is_mark
+                                 & (np.arange(w) < last[:, None]))
+            acc += np.bincount(pos // w, minlength=k, weights=np.exp(
+                seg_end.ravel()[pos] - r_disc * ends.ravel()[pos])) / lam
+            out.final_int[idx[~live]] = acc[~live]
+        keep = np.flatnonzero(live)
         idx, t, x, acc, pend = idx[keep], t[keep], x[keep], acc[keep], \
             pend[keep]
 
@@ -376,6 +434,8 @@ def _unit_down_batch(dyn: _Dynamics, r_disc: float, levels: np.ndarray,
 # at rate r, 1 at 4 r and 8 at 16 r: more marks bring out the heavy tail of
 # the integral itself, whose sample SE then understates the error.
 _MARK_RATE = 4.0
+# Events per pass of the event sampler, over all live lanes and per lane.
+_BLOCK_EVENTS, _BLOCK_MAX = 8192, 512
 # Class-D mirror paths that a jump leaves this far above 0 count as misses.
 _ABANDON_DEPTH = 10.0
 
@@ -513,8 +573,9 @@ def policy_value(spec: ProblemSpec, b: float, cfg: SimConfig) -> PolicyValue:
         raise ValueError("b must be positive")
     dyn = _Dynamics.from_model(spec.model)
     horizon = _resolve_horizon(cfg, spec.r, spec.psi1)
-    record = _simulate_levels(dyn, spec.r, [math.log(b / spec.v)], horizon,
-                              cfg, want_integral=True)
+    # log(b) - log(v), not log(b / v), which underflows for a tiny b.
+    record = _simulate_levels(dyn, spec.r, [math.log(b) - math.log(spec.v)],
+                              horizon, cfg, want_integral=True)
     stopped = _stopped_values(spec, record)[0]
     direct = (spec.alpha * spec.v * record.final_int
               - spec.c * (1.0 - np.exp(-spec.r * record.tau[0])) / spec.r)
@@ -671,24 +732,3 @@ def class_d_diagnostic(model: LevyModel, r: float, n_levels: Sequence[int],
                  for i in range(ns.size)]
     return ClassDResult(n_values=ns, estimates=estimates)
 
-
-def sample_increment(model: LevyModel, t: float, n: int,
-                     seed: int) -> np.ndarray:
-    """n exact draws of X_t (no discretisation), for distribution tests."""
-    if not t > 0:
-        raise ValueError("t must be positive")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    dyn = _Dynamics.from_model(model)
-    x = dyn.m * t + dyn.sigma * math.sqrt(t) * rng.standard_normal(n)
-    if dyn.a > 0:
-        # Successive binomials split the jump count over the phases.
-        counts = rng.poisson(dyn.a * t, n)
-        jumps = dyn.unit * counts
-        left, mass = counts, 1.0
-        for i, (p, rate) in enumerate(dyn.phases):
-            k = (left if i == len(dyn.phases) - 1
-                 else rng.binomial(left, p / mass))
-            jumps = jumps + rng.standard_gamma(k) / rate
-            left, mass = left - k, mass - p
-        x = x + jumps
-    return x

@@ -240,6 +240,18 @@ def test_counter_sweep_serves_a_b_that_underflows_against_v(tmp_path):
     assert rows[1][4] == "1"  # every path misses the -inf level
 
 
+def test_counter_simulate_serves_a_b_that_underflows_against_v(tmp_path):
+    # b / v underflows to 0, but log(b) - log(v) is a level no path reaches.
+    doc = {"model": {"family": "neg_poisson", "a": 1.0}, "r": 0.5,
+           "alpha": 1.0, "c": 1.0, "v": 3.2}
+    proc = run_cli("simulate", "--spec", write_spec(tmp_path, doc), "--b",
+                   "5e-324", "--paths", "100")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["direct"]["truncated_fraction"] == 1.0
+    assert doc["stopped"]["truncated_fraction"] == 1.0
+
+
 def test_threshold_feeds_simulate_round_trip(tmp_path, spec_path):
     proc = run_cli("threshold", "--spec", spec_path)
     b_c = json.loads(proc.stdout)["b_c"]

@@ -14,7 +14,7 @@ from levystop import mc
 from levystop.engine import epsilon_region, threshold, value_function
 from levystop.mc import (McEstimate, SimConfig, class_d_diagnostic,
                          epsilon_stop_paths, hitting_estimates, policy_value,
-                         sample_increment, sweep)
+                         sweep)
 from levystop.models import (BrownianDrift, ExpJD, KouJD, NegPoisson,
                              ProblemSpec, SpectNegKou, psi)
 from levystop.transforms import HittingTransforms
@@ -24,6 +24,31 @@ BM_SPEC = ProblemSpec(model=BM, r=1.0, alpha=1.0, c=1.0, v=1.0)
 NP_SPEC = ProblemSpec(model=NegPoisson(a=1.0), r=0.5, alpha=1.0, c=1.0,
                       v=3.2)
 KOU = KouJD(m=0.1, sigma=0.3, a=0.5, p=0.4, eta1=3.0, eta2=2.0)
+
+
+def sample_increment(model, t, n, seed):
+    """n exact draws of X_t (no discretisation), for distribution tests.
+
+    A test oracle: it draws the jumps by successive binomials over the
+    phases, not through the samplers' own jump draw.
+    """
+    if not t > 0:
+        raise ValueError("t must be positive")
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    dyn = mc._Dynamics.from_model(model)
+    x = dyn.m * t + dyn.sigma * math.sqrt(t) * rng.standard_normal(n)
+    if dyn.a > 0:
+        # Successive binomials split the jump count over the phases.
+        counts = rng.poisson(dyn.a * t, n)
+        jumps = dyn.unit * counts
+        left, mass = counts, 1.0
+        for i, (p, rate) in enumerate(dyn.phases):
+            k = (left if i == len(dyn.phases) - 1
+                 else rng.binomial(left, p / mass))
+            jumps = jumps + rng.standard_gamma(k) / rate
+            left, mass = left - k, mass - p
+        x = x + jumps
+    return x
 
 
 def test_same_seed_same_estimates_bitwise():
@@ -242,6 +267,77 @@ def test_level_minus_inf_is_never_passed():
             assert est.mean == 0.0 and est.truncation_fraction == 1.0
         assert hit == hitting_estimates(model, r, [-1.0], cfg)[0], \
             model.family
+
+
+GATE_LEVELS = [-0.15, -0.4, -0.8, -1.1, -1.5]
+JUMP_MODELS = (KouJD(m=-0.2, sigma=0.3, a=0.5, p=0.4, eta1=3.0, eta2=2.0),
+               ExpJD(m=-0.3, sigma=0.8, a=0.8, eta1=2.5),
+               SpectNegKou(m=0.1, sigma=0.7, a=0.9, eta2=1.8))
+
+
+def test_block_passes_match_the_transforms_at_a_small_budget():
+    # At 2000 paths every pass is a block of 4 or more events per lane.  L
+    # and G at the gate levels, from passage-only paths and from paths with
+    # the mark clock, and the integral to the deepest passage, whose mean is
+    # (1 - G(x)) / (r - psi(1)), each lie within 4 SE; r = 2.5 > psi(2) / 2
+    # keeps the integral's variance finite.  At the shallow x = -0.05 the
+    # integral is small, so one mark counted at or after the passage shows.
+    r = 2.5
+    cfg = SimConfig(n_paths=2000, seed=61)
+    for model in JUMP_MODELS:
+        ht = HittingTransforms(model, r)
+        growth = psi(model, 1.0)
+        horizon = mc._resolve_horizon(cfg, r, growth)
+        dyn = mc._Dynamics.from_model(model)
+        record = mc._simulate_levels(dyn, r, GATE_LEVELS, horizon, cfg,
+                                     want_integral=True)
+        marked = [(mc._estimate(np.where(hit, np.exp(-r * tau), 0.0), 0.0),
+                   mc._estimate(np.where(hit, np.exp(x - r * tau), 0.0), 0.0))
+                  for tau, x, hit in zip(record.tau, record.x_hit, record.hit)]
+        for ests in (hitting_estimates(model, r, GATE_LEVELS, cfg), marked):
+            for lev, (est_l, est_g) in zip(GATE_LEVELS, ests):
+                assert abs(est_l.mean - ht.L(lev)) < 4.0 * est_l.std_error, \
+                    (model.family, lev)
+                assert abs(est_g.mean - ht.G(lev)) < 4.0 * est_g.std_error, \
+                    (model.family, lev)
+        shallow = mc._simulate_levels(dyn, r, [-0.05], horizon, cfg,
+                                      want_integral=True)
+        for x, final_int in ((GATE_LEVELS[-1], record.final_int),
+                             (-0.05, shallow.final_int)):
+            want = (1.0 - ht.G(x)) / (r - growth)
+            est = mc._estimate(final_int, 0.0)
+            assert abs(est.mean - want) < 4.0 * est.std_error, \
+                (model.family, x)
+
+
+def test_block_passages_are_ordered_and_one_jump_passes_levels_together():
+    # 500 paths draw 16 events per lane per pass, and levels 0.05 apart put
+    # several passages in one block; a jump that lands below a level passes
+    # the next ones above its landing point at the same time and place.
+    levels = -0.05 * np.arange(1.0, 21.0)
+    cfg = SimConfig(n_paths=500, horizon=30.0, seed=67)
+    dyn = mc._Dynamics.from_model(JUMP_MODELS[0])
+    for want_integral in (False, True):
+        record = mc._simulate_levels(dyn, 1.0, levels, 30.0, cfg,
+                                     want_integral=want_integral)
+        assert np.all(np.diff(record.tau, axis=0) >= 0.0)
+        assert np.all(record.hit[:-1] >= record.hit[1:])
+        below = record.x_hit < levels[:, None]
+        on = record.hit & ~below
+        assert np.all(record.x_hit[on] == np.broadcast_to(
+            levels[:, None], on.shape)[on])
+        shared = (record.hit & below)[:-1] & (record.x_hit[:-1]
+                                              <= levels[1:, None])
+        assert np.count_nonzero(shared) > 100
+        assert np.array_equal(record.tau[1:][shared], record.tau[:-1][shared])
+        assert np.array_equal(record.x_hit[1:][shared],
+                              record.x_hit[:-1][shared])
+
+
+def test_constant_sample_has_zero_standard_error():
+    # np.std of 2000 copies of 0.1 + 0.2 is 1.7e-16, not 0.
+    assert mc._estimate(np.full(2000, 0.1 + 0.2), 0.0).std_error == 0.0
+    assert mc._estimate(np.array([1.0, 2.0]), 0.0).std_error == 0.5
 
 
 def test_resolvent_integral_matches_its_mean_at_the_horizon():
