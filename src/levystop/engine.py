@@ -1,4 +1,4 @@
-"""Optimal threshold, value function, and the diagnostics behind them.
+"""Optimal threshold, value function, and eps-optimal stop regions.
 
 The liquidation problem sup_tau E[int_0^tau e^{-rs} (alpha V_s - c) ds] is
 solved by stopping the first time V drops to B_c.  Writing
@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from functools import cached_property
+from typing import TYPE_CHECKING, Optional, Tuple
 
-from .models import ProblemSpec, has_phi, phi
+from .models import LevyModel, ProblemSpec, has_phi, phi
 from .roots import bracketed_root, real_roots
 from .transforms import HittingTransforms, candidate_value
 
-__all__ = ["ConvexityReport", "ThresholdResult", "ValueFunction",
-           "convexity_report", "epsilon_region", "threshold",
-           "value_function"]
+__all__ = ["ThresholdResult", "ValueFunction", "epsilon_region",
+           "threshold", "value_function"]
 
 if TYPE_CHECKING:
     from .transforms import ArrayLike
@@ -41,23 +41,48 @@ class ThresholdResult:
 
     ``slope_ratio`` is lim_{x->0-} (1 - L(x)) / (1 - G(x)): a derivative
     ratio in the G-continuous regime, a jump ratio otherwise.  ``psi_one``
-    is the exponent value psi(1) (not a characteristic root).  Spectrally
-    negative families report phi(r), the largest root of psi = r, as
-    ``phi_r``.  Families with upward jumps have no phi(r) and list roots
-    instead, ascending: all four for the two-sided family, the single
-    negative root -lam_bar for the one-sided one.  The counter has neither.
+    is the exponent value psi(1) (not a characteristic root).
     ``transforms``, which ``value_function`` reuses, are the ones B_c was
-    solved on; they stay out of equality, ``repr`` and the JSON form.
+    solved on; they stay out of equality, ``repr`` and the JSON form, and
+    ``model`` and ``r`` are read from them.  Results for different models
+    or rates are unequal even where their B_c agree.
+
+    ``phi_r`` and ``roots`` serve the report only, since B_c needs just the
+    negative roots in ``transforms``.  Each is solved the first time it is
+    read and kept.  Spectrally negative families report phi(r), the largest
+    root of psi = r, as ``phi_r``.  Families with upward jumps have no
+    phi(r) and list roots instead, ascending: all four for the two-sided
+    family, the single negative root -lam_bar for the one-sided one.  The
+    counter has neither.
     """
 
     b_c: float
     regime: str
     slope_ratio: float
     psi_one: float
-    phi_r: Optional[float]
-    roots: Optional[tuple]
     b_upper: float
     transforms: HittingTransforms = field(repr=False, compare=False)
+    model: LevyModel = field(init=False)
+    r: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "model", self.transforms.model)
+        object.__setattr__(self, "r", self.transforms.r)
+
+    @cached_property
+    def phi_r(self) -> Optional[float]:
+        """phi(r) for a spectrally negative family, else None."""
+        return phi(self.model, self.r) if has_phi(self.model) else None
+
+    @cached_property
+    def roots(self) -> Optional[Tuple[float, ...]]:
+        """The reported roots of psi = r, ascending, or None (see above)."""
+        neg = self.transforms.roots
+        if has_phi(self.model) or not neg:
+            return None
+        if len(neg) == 1:
+            return neg
+        return neg + real_roots(self.model, self.r, side=+1)
 
     def to_json_dict(self) -> dict:
         return {
@@ -74,8 +99,9 @@ def threshold(spec: ProblemSpec) -> ThresholdResult:
     """Optimal liquidation level B_c for ``spec``.
 
     Pure closed forms: root finding on scalars only, no tables, so this is
-    cheap enough to call in tight loops.  B_c = b_upper * slope_ratio is
-    reported with the roots and the transforms behind it.
+    cheap enough to call in tight loops.  B_c = b_upper * slope_ratio needs
+    the negative roots of psi = r alone, and only they are solved here;
+    the result's ``roots`` and ``phi_r`` are solved when they are read.
     """
     model = spec.model
     transforms = HittingTransforms(model, spec.r)
@@ -84,20 +110,11 @@ def threshold(spec: ProblemSpec) -> ThresholdResult:
     b_c = bound * ratio
     if not 0.0 < b_c < bound:
         raise ArithmeticError(f"threshold {b_c} escaped (0, {bound})")
-    neg = transforms.roots
-    phi_r: Optional[float] = None
-    roots_used: Optional[tuple] = None
-    if has_phi(model):
-        phi_r = phi(model, spec.r)
-    elif len(neg) == 1:
-        roots_used = neg
-    elif neg:
-        roots_used = neg + real_roots(model, spec.r, side=+1)
     return ThresholdResult(
         b_c=b_c,
         regime=G_CONTINUOUS if model.diffusive else G_DISCONTINUOUS,
-        slope_ratio=ratio, psi_one=spec.psi1, phi_r=phi_r, roots=roots_used,
-        b_upper=bound, transforms=transforms)
+        slope_ratio=ratio, psi_one=spec.psi1, b_upper=bound,
+        transforms=transforms)
 
 
 class ValueFunction:
@@ -153,68 +170,6 @@ def value_function(spec: ProblemSpec,
     return ValueFunction(spec, result)
 
 
-@dataclass(frozen=True)
-class ConvexityReport:
-    """Grid verification of the optimality hypotheses at the threshold.
-
-    ``min_second_diff`` is the smallest centred second difference of
-    s = g(., B_c) on the grid (positive means convex there);
-    ``tangency_gap`` is |d/dv s(B_c+) - f'|, which vanishes under smooth
-    fit.  ``ok`` summarises both checks.
-    """
-
-    family: str
-    b_c: float
-    min_second_diff: float
-    tangency_gap: float
-    convex_ok: bool
-    tangency_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.convex_ok and self.tangency_ok
-
-
-# The convexity check samples s on this many points of (B_c, span * B_c]
-# and accepts a smooth-fit gap below the tolerance.
-_CONVEXITY_GRID = 1000
-_CONVEXITY_SPAN = 10.0
-_TANGENCY_TOL = 1e-6
-
-
-def convexity_report(spec: ProblemSpec,
-                     result: Optional[ThresholdResult] = None
-                     ) -> ConvexityReport:
-    """Check convexity of s beyond B_c and the smooth-fit tangency.
-
-    Applies to the G-continuous regime only; the theory for the pure
-    counter rests on the jump ratio instead, and its s has kinks.  The
-    report is returned whether or not the hypotheses hold; ``ok`` says
-    which.
-    """
-    import numpy as np
-    vf = value_function(spec, result)
-    if vf.result.regime != G_CONTINUOUS:
-        raise ValueError("convexity diagnostics apply to the G-continuous "
-                         f"regime; {spec.model.family} is {vf.result.regime}")
-    b_c = vf.b_c
-    g_vals = vf.s(np.linspace(b_c, _CONVEXITY_SPAN * b_c,
-                              _CONVEXITY_GRID + 1)[1:])
-    second = g_vals[2:] - 2.0 * g_vals[1:-1] + g_vals[:-2]
-    min_second = float(np.min(second))
-
-    h = 1e-5 * b_c
-    stencil = vf.s(b_c + h * np.arange(5))
-    slope = float(np.dot([-25.0, 48.0, -36.0, 16.0, -3.0], stencil)) / (12 * h)
-    f_slope = -spec.alpha / (spec.r - spec.psi1)
-    gap = abs(slope - f_slope)
-
-    return ConvexityReport(family=spec.model.family, b_c=b_c,
-                           min_second_diff=min_second, tangency_gap=gap,
-                           convex_ok=min_second > 0.0,
-                           tangency_ok=gap < _TANGENCY_TOL)
-
-
 def epsilon_region(spec: ProblemSpec, result: Optional[ThresholdResult],
                    eps: float) -> float:
     """Upper boundary b(eps) = sup{v : w(v) <= eps} of the eps-stop region.
@@ -233,9 +188,12 @@ def epsilon_region(spec: ProblemSpec, result: Optional[ThresholdResult],
     b_c = vf.b_c
     hi = 2.0 * b_c
     for _ in range(400):
-        if vf(hi) > eps:
+        w_hi = vf(hi)
+        if w_hi > eps:
             break
         hi *= 2.0
     else:
         return math.inf
-    return bracketed_root(lambda v: vf(v) - eps, b_c, hi)
+    # w(B_c) = 0, so w - eps is -eps at the lower end.
+    return bracketed_root(lambda v: vf(v) - eps, b_c, hi, f_lo=-eps,
+                          f_hi=w_hi - eps)

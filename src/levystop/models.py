@@ -233,8 +233,10 @@ class SpectNegKou(PhaseJumpDiffusion):
 
 LevyModel = Union[BrownianDrift, KouJD, ExpJD, NegPoisson, SpectNegKou]
 
+# Each family's class and JSON field names, read once here rather than
+# introspected on every spec that is parsed.
 _FAMILIES = {
-    cls.family: cls
+    cls.family: (cls, tuple(f.name for f in fields(cls)))
     for cls in (BrownianDrift, KouJD, ExpJD, NegPoisson, SpectNegKou)
 }
 
@@ -391,12 +393,11 @@ def model_from_dict(doc: dict) -> LevyModel:
         raise ValueError("model document is missing the 'family' tag")
     family = doc["family"]
     try:
-        cls = _FAMILIES[family]
+        cls, names = _FAMILIES[family]
     except KeyError:
         known = ", ".join(sorted(_FAMILIES))
         raise ValueError(f"unknown family {family!r}; expected one of {known}")
-    names = [f.name for f in fields(cls)]
-    extra = set(doc) - set(names) - {"family"}
+    extra = set(doc).difference(names, ("family",))
     if extra:
         raise ValueError(f"unexpected keys for family {family!r}: "
                          f"{sorted(extra)}")

@@ -42,17 +42,23 @@ class RootBracketError(ArithmeticError):
 
 
 def bracketed_root(f: Callable[[float], float], lo: float, hi: float,
-                   fprime: Optional[Callable[[float], float]] = None
-                   ) -> float:
+                   fprime: Optional[Callable[[float], float]] = None, *,
+                   f_lo: Optional[float] = None,
+                   f_hi: Optional[float] = None) -> float:
     """Root of ``f`` between ``lo`` and ``hi``, where f changes sign.
 
+    ``f_lo`` and ``f_hi``, when given, are f(lo) and f(hi) as the caller
+    already computed them; the ends are evaluated only when they are not.
     Newton starts from the end with the smaller |f| and keeps its step while
     the step stays inside the shrinking sign-change bracket and is at most
     half the previous step; otherwise it bisects.  Without ``fprime`` the
     slope is the secant through the last two points.  Stops once a step is
     within a few ulps of the iterate.
     """
-    f_lo, f_hi = f(lo), f(hi)
+    if f_lo is None:
+        f_lo = f(lo)
+    if f_hi is None:
+        f_hi = f(hi)
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
@@ -88,17 +94,17 @@ def bracketed_root(f: Callable[[float], float], lo: float, hi: float,
     raise RootBracketError(f"no convergence on [{lo!r}, {hi!r}]")
 
 
-def _near(f, point: float, side: int) -> float:
-    """Bracket end just ``side`` (+1 above, -1 below) of a gap's end ``point``.
+def _near(f, point: float, side: int, q: float) -> Tuple[float, float]:
+    """Bracket end (x, f(x)) just ``side`` (+1 above, -1 below) of ``point``.
 
-    At 0, f = -q < 0.  Next to a pole, f runs to +inf on the side facing 0
-    and to -inf on the far side; probe at an offset relative to the pole's
-    magnitude and halve it until f shows that sign (the jump term needs a
-    small offset to dominate when the jump rate is small), or until no
-    float lies between the probe and the pole.
+    At 0, f = psi(0) - q = -q < 0.  Next to a pole, f runs to +inf on the
+    side facing 0 and to -inf on the far side; probe at an offset relative
+    to the pole's magnitude and halve it until f shows that sign (the jump
+    term needs a small offset to dominate when the jump rate is small), or
+    until no float lies between the probe and the pole.
     """
     if point == 0.0:
-        return 0.0
+        return 0.0, -q
     pad = 1e-9 * (1.0 + abs(point))
     while True:
         x = point + side * pad
@@ -108,16 +114,18 @@ def _near(f, point: float, side: int) -> float:
                 "change lies within a few ulps of the pole")
         val = f(x)
         if math.isfinite(val) and (val > 0) == (side * point < 0):
-            return x
+            return x, val
         pad *= 0.5
 
 
-def _expand_out(f, start: float, side: int) -> float:
-    """March outward from ``start`` (direction ``side``) until f > 0."""
+def _expand_out(f, start: float, side: int) -> Tuple[float, float]:
+    """March outward from ``start`` (direction ``side``) to (x, f(x) > 0)."""
     step = 1.0 + abs(start)
     for _ in range(200):
-        if f(start + side * step) > 0:
-            return start + side * step
+        x = start + side * step
+        val = f(x)
+        if val > 0:
+            return x, val
         step *= 2.0
     raise RootBracketError("quadratic growth never dominated; bad parameters?")
 
@@ -155,9 +163,11 @@ def real_roots(model: "LevyModel", q: float,
     for lo, hi in zip((-math.inf,) + points, points + (math.inf,)):
         if side * lo < 0 or side * hi < 0:
             continue
-        a = _expand_out(f, hi, -1) if lo == -math.inf else _near(f, lo, +1)
-        b = _expand_out(f, lo, +1) if hi == math.inf else _near(f, hi, -1)
-        root = bracketed_root(f, a, b, fp)
+        a, f_a = (_expand_out(f, hi, -1) if lo == -math.inf
+                  else _near(f, lo, +1, q))
+        b, f_b = (_expand_out(f, lo, +1) if hi == math.inf
+                  else _near(f, hi, -1, q))
+        root = bracketed_root(f, a, b, fp, f_lo=f_a, f_hi=f_b)
         res = abs(f(root))
         cond = abs(fp(root)) * (1.0 + abs(root))
         if res > max(1e-12, 64.0 * _EPS * cond):

@@ -21,11 +21,13 @@ import numpy as np
 from scipy.integrate import quad
 
 from levystop import mc
-from levystop.engine import convexity_report, threshold, value_function
+from levystop.engine import threshold, value_function
 from levystop.models import (BrownianDrift, ExpJD, KouJD, NegPoisson,
                              ProblemSpec, SpectNegKou)
 from levystop.scale import ScaleFunction
 from levystop.transforms import HittingTransforms
+
+from convexity import convexity_report
 
 BM = BrownianDrift(m=0.0, sigma=1.0)
 BM_SPEC = ProblemSpec(model=BM, r=1.0, alpha=1.0, c=1.0, v=1.0)
@@ -388,7 +390,8 @@ def ac9(run):
         mc._Dynamics.from_model(BM), 1.0,
         [math.log(result.b_c / BM_SPEC.v)], 60.0,
         mc.SimConfig(seed=10 * run + 1, **cfg), want_integral=False)
-    tau_bc = mc._estimate(record.tau[0], 0.0)
+    tau_bc, = mc._estimates(record.tau.__getitem__, record.tau.shape,
+                            [0.0])
     tau_eps = eps_run.estimates[-1]
     se = math.hypot(tau_eps.std_error, tau_bc.std_error)
     raw = (tau_eps.mean - tau_bc.mean) / se

@@ -181,6 +181,37 @@ FAMILY_MODELS = [
 ]
 
 
+# `levystop threshold` output for FAMILY_MODELS at r = 0.5, alpha = c = v = 1.
+# Only the families with upward jumps list roots: four for the two-sided
+# family, the one negative root for the one-sided one.
+THRESHOLD_OUTPUT = {
+    "brownian": (0.645861873485089, "G-continuous", 0.095,
+                 2.823756961276789, None, 0.7973603376359123),
+    "kou": (0.802873712801824, "G-continuous", -0.03555555555555555, None,
+            [-9.804257607144729, -2.2087663868450105, 4.680522509878301,
+             12.332501484111438], 0.7495708936946489),
+    "expjd": (0.6255359517580679, "G-continuous", 0.09791666666666665, None,
+              [-3.5018387071794437], 0.777868541046302),
+    "neg_poisson": (0.9999999999999998, "G-discontinuous",
+                    -0.44248439117999033, None, None, 0.5305127646453646),
+    "spectneg_kou": (0.7420103376619582, "G-continuous", -0.10499999999999998,
+                     3.87612430256879, None, 0.6132316840181473),
+}
+
+
+def test_threshold_stdout_is_pinned_for_every_family(tmp_path):
+    keys = ["b_c", "regime", "psi1", "phi_r", "roots", "slope_ratio"]
+    for model in FAMILY_MODELS:
+        path = write_spec(tmp_path, {"model": model, "r": 0.5, "alpha": 1.0,
+                                     "c": 1.0, "v": 1.0})
+        want = dict(zip(keys, THRESHOLD_OUTPUT[model["family"]]))
+        first, again = (run_cli("threshold", "--spec", path)
+                        for _ in range(2))
+        assert first.returncode == 0, first.stderr
+        assert first.stdout == json.dumps(want, indent=2) + "\n"
+        assert again.stdout == first.stdout
+
+
 def test_threshold_and_inspect_run_without_numpy(tmp_path):
     # Both solve scalar roots only; numpy is loaded where arrays are.
     paths = [write_spec(tmp_path, {"model": model, "r": 0.5, "alpha": 1.0,

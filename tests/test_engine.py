@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levystop import mc
+from levystop import engine, mc, models, transforms
 from levystop.engine import (G_CONTINUOUS, G_DISCONTINUOUS, ThresholdResult,
-                             convexity_report, epsilon_region, threshold,
-                             value_function)
+                             epsilon_region, threshold, value_function)
 from levystop.models import (BrownianDrift, ExpJD, KouJD, NegPoisson,
                              ProblemSpec, SpectNegKou, psi)
 from levystop.transforms import HittingTransforms
+
+from convexity import convexity_report
 
 
 def brownian_value_oracle(spec, v):
@@ -279,6 +280,54 @@ def test_fuzzed_threshold_invariants(m, sigma, a, p, eta1, eta2, alpha, c,
     w = value_function(spec, res)
     assert float(w(res.b_c)) == 0.0
     assert float(w(res.b_c * 3.0)) > 0.0
+
+
+# The reported roots and phi(r) of ``sample_specs``, as threshold solved and
+# stored them before they became on-demand properties.
+REPORTED = {
+    "brownian": (float.fromhex("0x1.6a09e667f3bcdp+0"), None),
+    "kou": (None, tuple(float.fromhex(x) for x in (
+        "-0x1.61eb39610e9bep+2", "-0x1.4b36fcba0efe0p+0",
+        "0x1.f5ff5de477226p+0", "0x1.301caf4f58210p+2"))),
+    "expjd": (None, (float.fromhex("-0x1.2670c512b2196p+1"),)),
+    "neg_poisson": (None, None),
+    "spectneg_kou": (float.fromhex("0x1.84e02410f46a1p+1"), None),
+}
+
+
+def test_threshold_solves_the_report_roots_only_when_read(monkeypatch):
+    solves = []
+    for module in (engine, models, transforms):
+        def counting(model, q, side=0, _solve=module.real_roots):
+            solves.append(side)
+            return _solve(model, q, side)
+        monkeypatch.setattr(module, "real_roots", counting)
+    for spec in sample_specs():
+        solves.clear()
+        res = threshold(spec)
+        assert +1 not in solves and 0 not in solves, spec.model.family
+        assert (res.phi_r, res.roots) == REPORTED[spec.model.family]
+        # a second read reuses the first solve
+        before = len(solves)
+        assert (res.phi_r, res.roots) == REPORTED[spec.model.family]
+        assert len(solves) == before
+        assert solves.count(+1) == (spec.model.family in (
+            "brownian", "kou", "spectneg_kou"))
+
+
+def test_threshold_result_equality_tells_models_apart():
+    spec = sample_specs()[1]
+    res = threshold(spec)
+    again = threshold(spec)
+    assert res == again and hash(res) == hash(again)
+    assert (res.model, res.r) == (spec.model, spec.r)
+    # every reported number kept, but solved on another model or rate
+    other = dataclasses.replace(spec.model, p=0.5)
+    for transforms_ in (HittingTransforms(other, spec.r),
+                        HittingTransforms(spec.model, 0.7)):
+        moved = dataclasses.replace(res, transforms=transforms_)
+        assert moved.b_c == res.b_c
+        assert moved != res
 
 
 def test_threshold_result_is_frozen():

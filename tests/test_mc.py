@@ -291,9 +291,10 @@ def test_block_passes_match_the_transforms_at_a_small_budget():
         dyn = mc._Dynamics.from_model(model)
         record = mc._simulate_levels(dyn, r, GATE_LEVELS, horizon, cfg,
                                      want_integral=True)
-        marked = [(mc._estimate(np.where(hit, np.exp(-r * tau), 0.0), 0.0),
-                   mc._estimate(np.where(hit, np.exp(x - r * tau), 0.0), 0.0))
-                  for tau, x, hit in zip(record.tau, record.x_hit, record.hit)]
+        marked = list(zip(*(
+            matrix_estimates(np.where(record.hit, values, 0.0))
+            for values in (np.exp(-r * record.tau),
+                           np.exp(record.x_hit - r * record.tau)))))
         for ests in (hitting_estimates(model, r, GATE_LEVELS, cfg), marked):
             for lev, (est_l, est_g) in zip(GATE_LEVELS, ests):
                 assert abs(est_l.mean - ht.L(lev)) < 4.0 * est_l.std_error, \
@@ -305,7 +306,7 @@ def test_block_passes_match_the_transforms_at_a_small_budget():
         for x, final_int in ((GATE_LEVELS[-1], record.final_int),
                              (-0.05, shallow.final_int)):
             want = (1.0 - ht.G(x)) / (r - growth)
-            est = mc._estimate(final_int, 0.0)
+            est, = matrix_estimates(final_int[None])
             assert abs(est.mean - want) < 4.0 * est.std_error, \
                 (model.family, x)
 
@@ -336,8 +337,69 @@ def test_block_passages_are_ordered_and_one_jump_passes_levels_together():
 
 def test_constant_sample_has_zero_standard_error():
     # np.std of 2000 copies of 0.1 + 0.2 is 1.7e-16, not 0.
-    assert mc._estimate(np.full(2000, 0.1 + 0.2), 0.0).std_error == 0.0
-    assert mc._estimate(np.array([1.0, 2.0]), 0.0).std_error == 0.5
+    constant, varied = matrix_estimates(
+        np.stack([np.full(2000, 0.1 + 0.2), np.arange(2000.0)]))
+    assert constant.std_error == 0.0
+    assert varied.std_error > 0.0
+    assert matrix_estimates(np.array([[1.0, 2.0]]))[0].std_error == 0.5
+
+
+def matrix_estimates(values, truncated=None):
+    """``mc._estimates`` of a whole (rows, paths) matrix."""
+    if truncated is None:
+        truncated = np.zeros(len(values))
+    return mc._estimates(values.__getitem__, values.shape, truncated)
+
+
+def row_estimate(values, truncated):
+    """One row's estimate by 1-d reductions: the oracle for ``_estimates``."""
+    n, mean = values.size, float(np.mean(values))
+    se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    if se < 1e-12 * abs(mean) and np.all(values == values[0]):
+        se = 0.0
+    return McEstimate(mean=mean, std_error=se, n_effective=n,
+                      truncation_fraction=float(truncated))
+
+
+def test_batched_estimates_match_per_row_reductions(monkeypatch):
+    # Reductions over blocks of rows give each row the 1-d reductions' bits,
+    # whether a block holds every row, several or one (past 2**14 paths).
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 2000, 5000, 16385, 100000):
+        values = rng.standard_exponential((4, n)) * np.array(
+            [[1.0], [1e-3], [1e6], [0.0]])
+        values[3] = 0.1 + 0.2
+        hit = rng.random((4, n)) < 0.7
+        record = mc.PassageRecord(tau=values, x_hit=values, hit=hit,
+                                  final_int=None)
+        missed = record.missed()
+        assert missed.tolist() == [1.0 - float(np.mean(row)) for row in hit]
+        assert matrix_estimates(values, missed) == [
+            row_estimate(row, frac) for row, frac in zip(values, missed)]
+
+    batched = mc._estimates
+
+    def checked(values_of, shape, truncated):
+        out = batched(values_of, shape, truncated)
+        values = values_of(slice(None))
+        assert values.shape == shape
+        assert out == [row_estimate(row, frac)
+                       for row, frac in zip(values, truncated)]
+        checked.calls += 1
+        return out
+
+    checked.calls = 0
+    monkeypatch.setattr(mc, "_estimates", checked)
+    cfg = SimConfig(n_paths=300, horizon=20.0, seed=9)
+    for spec in (BM_SPEC, NP_SPEC, ProblemSpec(model=KOU, r=1.0, alpha=1.0,
+                                               c=1.0, v=1.0)):
+        res = threshold(spec)
+        hitting_estimates(spec.model, spec.r, [-0.1, -0.5, -1.0], cfg)
+        policy_value(spec, res.b_c, cfg)
+        sweep(spec, res.b_c * np.array([0.5, 1.0, 2.0]), cfg)
+        epsilon_stop_paths(spec, res, [1e-1, 1e-3], cfg)
+        class_d_diagnostic(spec.model, spec.r, [1, 2, 4], cfg)
+    assert checked.calls == 18  # hitting_estimates makes two calls
 
 
 def test_resolvent_integral_matches_its_mean_at_the_horizon():

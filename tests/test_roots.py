@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from levystop.models import ExpJD, KouJD, NegPoisson, SpectNegKou, psi
-from levystop.roots import (RootBracketError, emery_root, kou_roots,
-                            real_roots)
+from levystop import roots
+from levystop.models import (ExpJD, KouJD, NegPoisson, PhaseJumpDiffusion,
+                             SpectNegKou, psi)
+from levystop.roots import (RootBracketError, bracketed_root, emery_root,
+                            kou_roots, real_roots)
 
 rng_ranges = dict(
     m=st.floats(-2.0, 2.0), sigma=st.floats(0.1, 3.0),
@@ -165,3 +167,56 @@ def test_positive_root_exceeds_one_under_discounting():
     model = KouJD(m=0.05, sigma=0.3, a=0.5, p=0.4, eta1=3.0, eta2=2.0)
     r = psi(model, 1.0) + 0.05
     assert min(b for b in kou_roots(model, r) if b > 0) > 1.0
+
+
+def test_bracketed_root_takes_the_end_values_it_is_given():
+    points = []
+
+    def f(x):
+        points.append(x)
+        return x**3 - 2.0
+
+    lo, hi = 0.25, 3.0
+    want = bracketed_root(f, lo, hi)
+    f_lo, f_hi = f(lo), f(hi)
+    points.clear()
+    assert bracketed_root(f, lo, hi, f_lo=f_lo, f_hi=f_hi) == want
+    assert lo not in points and hi not in points
+    # one given end: only the other is evaluated
+    points.clear()
+    assert bracketed_root(f, lo, hi, f_hi=f_hi) == want
+    assert points.count(lo) == 1 and hi not in points
+
+
+def test_real_roots_reuses_the_bracket_end_values(monkeypatch):
+    # The helpers that find a gap's bracket ends return the exponent values
+    # they computed there, so the solve never evaluates an end again, and
+    # psi(0) - q = -q is never evaluated at all.
+    log = []
+    exponent = PhaseJumpDiffusion.exponent
+
+    def recording(self, z):
+        log.append(("eval", z))
+        return exponent(self, z)
+
+    def logging_end(helper):
+        def wrapped(*args):
+            end = helper(*args)
+            log.append(("end", end[0]))
+            return end
+        return wrapped
+
+    monkeypatch.setattr(PhaseJumpDiffusion, "exponent", recording)
+    for name in ("_near", "_expand_out"):
+        monkeypatch.setattr(roots, name, logging_end(getattr(roots, name)))
+    for model, r in ((KouJD(m=-0.2, sigma=0.3, a=0.5, p=0.4, eta1=3.0,
+                            eta2=2.0), 1.0),
+                     (ExpJD(m=-0.3, sigma=0.8, a=0.8, eta1=2.5), 2.0),
+                     (SpectNegKou(m=0.1, sigma=0.7, a=0.9, eta2=1.8), 2.0)):
+        log.clear()
+        real_roots(model, r)
+        ends = [i for i, (kind, _) in enumerate(log) if kind == "end"]
+        assert len(ends) == 2 * (len(model.poles) + 2)  # two per gap
+        for i in ends:
+            assert ("eval", log[i][1]) not in log[i:], (model.family, log[i])
+        assert ("eval", 0.0) not in log
