@@ -108,7 +108,7 @@ def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[object]],
 
 def _sim_config(args: argparse.Namespace) -> SimConfig:
     from .mc import SimConfig
-    return SimConfig(n_paths=args.paths, dt=args.dt, horizon=args.horizon,
+    return SimConfig(n_paths=args.paths, horizon=args.horizon,
                      seed=args.seed)
 
 
@@ -216,9 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
         if sim:
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--paths", type=int, default=20000)
-            p.add_argument("--dt", type=finite_float, default=1e-3,
-                           help="accepted for compatibility; the samplers "
-                                "are exact and ignore it")
             p.add_argument("--horizon", type=finite_float, default=None)
 
     p = sub.add_parser("inspect", help="exponent, roots, assumption report")

@@ -26,18 +26,15 @@ two forms rest on different identities, so their agreement is a real
 cross-check.
 
 Reproducibility contract: paths are partitioned into fixed batches of
-``cfg.batch_size``; batch i uses the i-th spawn of SeedSequence(cfg.seed)
-and batches are reduced in index order, so results are bit-identical for a
-given config regardless of the LEVYSTOP_THREADS worker count (they do
-depend on batch_size, which is part of the config).
+``_BATCH_PATHS`` = 16384, and batch i draws from the i-th spawn of
+SeedSequence(cfg.seed), in index order.  So the draws, and every result,
+are a function of (seed, n_paths, horizon) alone.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -63,26 +60,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation budget and numerical knobs.
+    """Simulation budget: path count, horizon and seed.
 
     ``horizon`` None resolves to 50 / (r - psi(1)) at the point of use, so
-    the discounted truncation error is below e^-50.  ``batch_size`` fixes
-    the path partition the reproducibility contract is stated over.
-    ``dt`` is validated but ignored: every sampler is exact, with no time
-    grid, and the field stays so that existing callers keep working.
+    the discounted truncation error is below e^-50.  ``dt`` is validated
+    but ignored: every sampler is exact, with no time grid, and the field
+    stays so that existing callers keep working.
     """
 
     n_paths: int
     dt: float = 1e-3
     horizon: Optional[float] = None
     seed: int = 0
-    batch_size: int = 16384
 
     def __post_init__(self) -> None:
-        for name in ("n_paths", "batch_size"):
-            count = getattr(self, name)
-            if not isinstance(count, numbers.Integral) or count < 1:
-                raise ValueError(f"{name} must be an integer >= 1")
+        if not isinstance(self.n_paths, numbers.Integral) or self.n_paths < 1:
+            raise ValueError("n_paths must be an integer >= 1")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         if self.horizon is not None and not 0 < self.horizon < math.inf:
@@ -146,13 +139,6 @@ def _resolve_horizon(cfg: SimConfig, r: float, growth: float) -> float:
         return float(cfg.horizon)
     gap = r - growth if growth < r else r
     return 50.0 / gap
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("LEVYSTOP_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -462,6 +448,8 @@ def _unit_down_batch(dyn: _Dynamics, r_disc: float, levels: np.ndarray,
 _MARK_RATE = 4.0
 # Events per pass of the event sampler, over all live lanes and per lane.
 _BLOCK_EVENTS, _BLOCK_MAX = 8192, 512
+# Paths per batch; batch i draws from the i-th spawn of the seed.
+_BATCH_PATHS = 16384
 # Class-D mirror paths that a jump leaves this far above 0 count as misses.
 _ABANDON_DEPTH = 10.0
 
@@ -477,9 +465,11 @@ def _simulate_levels(dyn: _Dynamics, r_disc: float, levels: Sequence[float],
     to the sampler shallowest first, by a stable sort, and each batch
     writes its columns of one record that starts as all misses.
     Nondecreasing dynamics (the mirrored counter) never reach a negative
-    level and get that record unsampled.  Requests with ``want_integral`` run the event sampler with a mark clock
-    of rate ``_MARK_RATE * r_disc``; passage-only ones run it without one.
-    Only the event sampler reads ``abandon_level``.
+    level and get that record unsampled.  The counter runs
+    ``_unit_down_batch``, which integrates in closed form; the others run
+    ``_event_batch``, with a mark clock of rate ``_MARK_RATE * r_disc``
+    when ``want_integral`` asks for ``final_int``.  Only the event sampler
+    reads ``abandon_level``.
     """
     levels_arr = np.asarray(levels, dtype=float)
     if levels_arr.ndim != 1 or levels_arr.size == 0:
@@ -505,26 +495,17 @@ def _simulate_levels(dyn: _Dynamics, r_disc: float, levels: Sequence[float],
         return record
 
     sampled = levels_arr[rows]
-    starts = range(0, n, cfg.batch_size)
+    starts = range(0, n, _BATCH_PATHS)
     children = np.random.SeedSequence(cfg.seed).spawn(len(starts))
-
-    def run(i: int) -> None:
-        rng = np.random.Generator(np.random.Philox(children[i]))
-        cols = slice(starts[i], min(starts[i] + cfg.batch_size, n))
+    for start, child in zip(starts, children):
+        rng = np.random.Generator(np.random.Philox(child))
+        cols = slice(start, min(start + _BATCH_PATHS, n))
         if dyn.unit < 0:
             _unit_down_batch(dyn, r_disc, sampled, rows, horizon, rng,
                              record, cols)
         else:
             _event_batch(dyn, r_disc, sampled, rows, horizon, abandon_level,
                          rng, record, cols)
-
-    workers = _thread_count()
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(len(starts))))
-    else:
-        for i in range(len(starts)):
-            run(i)
     return record
 
 
@@ -721,6 +702,9 @@ class ClassDResult:
     estimates: List[McEstimate]
 
     def loglog_slope(self) -> float:
+        if self.n_values.size < 2:
+            raise ArithmeticError("a log-log slope needs at least 2 rungs, "
+                                  f"got {self.n_values.size}")
         ns = self.n_values.astype(float)
         means = np.array([e.mean for e in self.estimates])
         if np.any(means <= 0):
@@ -744,20 +728,19 @@ def class_d_diagnostic(model: LevyModel, r: float, n_levels: Sequence[int],
     growth = psi1(model)
     if not r > growth:
         raise ValueError(f"class-D ladder needs r > psi(1) = {growth:.6g}")
-    ns = np.asarray(n_levels, dtype=np.int64)
-    if np.any(ns < 1):
+    ns = np.asarray(n_levels, dtype=float)
+    if not np.all((1 <= ns) & (ns < math.inf) & (np.floor(ns) == ns)):
         raise ValueError("ladder values must be integers >= 1")
     if np.any(np.diff(ns) <= 0):
         raise ValueError("ladder must be strictly increasing")
     dyn = _Dynamics.from_model(model).mirrored(r)
     horizon = _resolve_horizon(cfg, r, growth)
     abandon = _ABANDON_DEPTH if (dyn.m > 0 and dyn.sigma > 0) else None
-    record = _simulate_levels(dyn, 0.0, -np.log(ns.astype(float)), horizon,
-                              cfg, want_integral=False,
-                              abandon_level=abandon)
+    record = _simulate_levels(dyn, 0.0, -np.log(ns), horizon, cfg,
+                              want_integral=False, abandon_level=abandon)
     hit, x_hit = record.hit, record.x_hit
     estimates = _estimates(
         lambda rows: np.where(hit[rows], np.exp(-x_hit[rows]), 0.0),
         hit.shape, record.missed())
-    return ClassDResult(n_values=ns, estimates=estimates)
+    return ClassDResult(n_values=ns.astype(np.int64), estimates=estimates)
 

@@ -418,10 +418,9 @@ def test_ac10_cli_determinism(tmp_path):
         ("value.csv", ["value", "--grid", "0.1:2:40"]),
         ("scale.csv", ["scale-fn", "--q", "1.0", "--grid", "0:2:21"]),
         ("sweep.csv", ["sweep", "--grid", "0.15:0.45:5", "--paths",
-                       "2000", "--dt", "0.01", "--horizon", "6",
-                       "--seed", "7"]),
+                       "2000", "--horizon", "6", "--seed", "7"]),
         ("sim.json", ["simulate", "--b", "0.29", "--paths", "2000",
-                      "--dt", "0.01", "--horizon", "6", "--seed", "9"]),
+                      "--horizon", "6", "--seed", "9"]),
     ]
     stable = True
     for name, argv in commands:

@@ -246,8 +246,7 @@ def test_value_loads_neither_mc_nor_scale(spec_path):
 
 def test_sweep_reruns_are_byte_identical(tmp_path, spec_path):
     args = ("sweep", "--spec", spec_path, "--grid", "0.2:0.4:3",
-            "--paths", "2000", "--dt", "0.01", "--horizon", "6",
-            "--seed", "7")
+            "--paths", "2000", "--horizon", "6", "--seed", "7")
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_cli(*args, "--out", str(out_a)).returncode == 0
     assert run_cli(*args, "--out", str(out_b)).returncode == 0
@@ -287,8 +286,7 @@ def test_threshold_feeds_simulate_round_trip(tmp_path, spec_path):
     proc = run_cli("threshold", "--spec", spec_path)
     b_c = json.loads(proc.stdout)["b_c"]
     proc = run_cli("simulate", "--spec", spec_path, "--b", repr(b_c),
-                   "--paths", "4000", "--dt", "0.005", "--horizon", "12",
-                   "--seed", "3")
+                   "--paths", "4000", "--horizon", "12", "--seed", "3")
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["reconciled"] is True
@@ -349,7 +347,8 @@ def test_input_errors_exit_1(tmp_path, spec_path, capsys):
             ("--b", ("simulate", "--b", "nan")),
             ("--q", ("scale-fn", "--q", "nan", "--grid", "0:1:3")),
             ("--q", ("scale-fn", "--q", "inf", "--grid", "0:1:3")),
-            ("--dt", ("sweep", "--dt", "inf", "--grid", "0.1:0.5:3")),
+            # No --dt option: the samplers are exact, with no time grid.
+            ("--dt", ("sweep", "--dt", "0.01", "--grid", "0.1:0.5:3")),
             ("grid", ("value", "--grid", "1:inf:3"))):
         assert main_exit_code(*args, "--spec", spec_path) == 1
         assert flag in capsys.readouterr().err

@@ -58,36 +58,28 @@ def test_same_seed_same_estimates_bitwise():
     assert first == second  # dataclass equality: every float identical
 
 
-def test_thread_count_does_not_change_results(monkeypatch):
-    cfg = SimConfig(n_paths=3000, dt=0.01, horizon=6.0, seed=9,
-                    batch_size=512)
-
-    def run():
-        return (sweep(BM_SPEC, [0.2, 0.3, 0.5], cfg),
-                hitting_estimates(KOU, 1.0, [-0.2, -0.6], cfg),
-                class_d_diagnostic(KOU, 1.0, [2, 4], cfg).estimates,
-                policy_value(BM_SPEC, 0.3, cfg),
-                policy_value(NP_SPEC, 1.0, cfg))
-
-    monkeypatch.delenv("LEVYSTOP_THREADS", raising=False)
-    serial = run()
-    monkeypatch.setenv("LEVYSTOP_THREADS", "4")
-    threaded = run()
-    assert np.array_equal(serial[0].values, threaded[0].values)
-    assert serial[0].estimates == threaded[0].estimates
-    assert serial[0].argmax_index == threaded[0].argmax_index
-    assert serial[1:] == threaded[1:]
-
-
-def test_batch_partition_fixes_the_stream():
-    # Same partition, different thread counts is covered above; a changed
-    # batch_size legitimately reshuffles substreams and may change draws.
-    cfg_a = SimConfig(n_paths=2000, dt=0.02, horizon=4.0, seed=5,
-                      batch_size=500)
-    cfg_b = SimConfig(n_paths=2000, dt=0.02, horizon=4.0, seed=5,
-                      batch_size=500)
-    assert hitting_estimates(BM, 1.0, [-0.3], cfg_a) == hitting_estimates(
-        BM, 1.0, [-0.3], cfg_b)
+def test_three_batch_estimates_are_pinned():
+    # 40000 paths are three batches of ``mc._BATCH_PATHS``: these bits fix
+    # the batch partition, the seed spawn and the batch order.
+    model = KouJD(m=-0.2, sigma=0.3, a=0.5, p=0.4, eta1=3.0, eta2=2.0)
+    spec = ProblemSpec(model=model, r=1.0, alpha=1.0, c=1.0, v=2.6)
+    cfg = SimConfig(n_paths=40000, seed=5)
+    pv = policy_value(spec, 1.5, cfg)
+    assert [pv.direct.mean.hex(), pv.direct.std_error.hex(),
+            pv.stopped.mean.hex(), pv.stopped.std_error.hex(),
+            pv.diff_mean.hex(), pv.diff_se.hex(),
+            pv.direct.truncation_fraction.hex()] == [
+        "0x1.36e8d2d4c2bd7p+0", "0x1.ea88fbbaafdb7p-8",
+        "0x1.363db4542a6eep+0", "0x1.106592119adffp-11",
+        "0x1.563d01309d0c1p-9", "0x1.e806bd00f4020p-8",
+        "0x1.a36e2eb1c4000p-15"]
+    got = [[est.mean.hex(), est.std_error.hex()]
+           for pair in hitting_estimates(model, 1.0, [-0.3, -1.0], cfg)
+           for est in pair]
+    assert got == [["0x1.c9d823398c3fdp-2", "0x1.6aea5bf1eaf80p-10"],
+                   ["0x1.3c558598ea757p-2", "0x1.04b07af24b3e2p-10"],
+                   ["0x1.e312418a70d12p-4", "0x1.c75e7cdcaf3cap-11"],
+                   ["0x1.2ba57fbddf296p-5", "0x1.166fac8282900p-12"]]
 
 
 def test_passage_times_monotone_in_depth():
@@ -134,10 +126,11 @@ def test_equal_levels_are_passed_together():
         assert record.hit[0].any()
 
 
-def test_levels_in_any_order_and_sign_share_one_ladder():
+def test_levels_in_any_order_and_sign_share_one_ladder(monkeypatch):
     # The rows of an unsorted ladder with levels >= 0 are, bit for bit,
     # those of its sorted negative levels; a level >= 0 is passed at once.
-    cfg = SimConfig(n_paths=2000, horizon=8.0, seed=23, batch_size=700)
+    monkeypatch.setattr(mc, "_BATCH_PATHS", 700)  # three batches
+    cfg = SimConfig(n_paths=2000, horizon=8.0, seed=23)
     for model in (BM, KOU, NegPoisson(a=1.0)):
         dyn = mc._Dynamics.from_model(model)
         mixed = mc._simulate_levels(dyn, 1.0, [-1.5, 0.0, -0.2, 0.3, -0.9],
@@ -512,6 +505,15 @@ def test_class_d_counter_family_is_exactly_degenerate():
         result.loglog_slope()
 
 
+def test_class_d_one_rung_has_no_slope():
+    cfg = SimConfig(n_paths=200, horizon=10.0, seed=43)
+    for model in (BM, NegPoisson(a=1.0)):
+        result = class_d_diagnostic(model, 1.0, [1], cfg)
+        assert result.estimates[0].mean == 1.0
+        with pytest.raises(ArithmeticError, match="2 rungs, got 1"):
+            result.loglog_slope()
+
+
 def test_class_d_brownian_ladder_decays_inversely():
     cfg = SimConfig(n_paths=40000, dt=0.02, horizon=80.0, seed=45)
     result = class_d_diagnostic(BM, 1.0, [2, 4, 16], cfg)
@@ -555,12 +557,8 @@ def test_config_validation():
     for horizon in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="horizon"):
             SimConfig(n_paths=10, horizon=horizon)
-    for batch_size in (0, math.nan, 512.5):
-        with pytest.raises(ValueError, match="batch_size"):
-            SimConfig(n_paths=10, batch_size=batch_size)
     # numpy integers are integers
-    cfg = SimConfig(n_paths=np.int64(10), batch_size=np.int32(4))
-    assert cfg.n_paths == 10 and cfg.batch_size == 4
+    assert SimConfig(n_paths=np.int64(10)).n_paths == 10
 
 
 def test_argument_validation():
@@ -590,6 +588,10 @@ def test_argument_validation():
         class_d_diagnostic(BM, 1.0, [4, 2], cfg)
     with pytest.raises(ValueError, match=">= 1"):
         class_d_diagnostic(BM, 1.0, [0, 2], cfg)
+    # A ladder value that is not a finite integer is rejected, not truncated.
+    for ladder in ([1, 2.5, 4.9], [2, 2.5], [1, math.inf], [1, math.nan]):
+        with pytest.raises(ValueError, match="integers >= 1"):
+            class_d_diagnostic(BM, 1.0, ladder, cfg)
     with pytest.raises(ValueError, match="t must be positive"):
         sample_increment(BM, 0.0, 10, seed=1)
     # NaN inputs get an error, never a silent answer.
