@@ -147,8 +147,6 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 def cmd_value(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
     grid = _parse_grid(args.grid)
-    if (grid <= 0).any():
-        raise ValueError("v grid must be strictly positive")
     w = value_function(spec)(grid)
     _emit_csv(["v", "w"], list(zip(grid, w)), args.out)
     return 0
@@ -185,8 +183,6 @@ def cmd_scale_fn(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .mc import policy_value
     spec = _load_spec(args.spec)
-    if args.b is None:
-        raise ValueError("simulate requires --b (the stopping level)")
     pv = policy_value(spec, args.b, _sim_config(args))
     doc = {
         "b": pv.b,
@@ -245,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="MC policy value at one b as JSON")
     common(p, sim=True)
-    p.add_argument("--b", type=finite_float, default=None,
+    p.add_argument("--b", type=finite_float, required=True,
                    help="stopping level for the policy")
     p.set_defaults(func=cmd_simulate)
     return parser

@@ -41,7 +41,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .engine import ThresholdResult, epsilon_region
-from .models import LevyModel, ProblemSpec, psi1
+from .models import LevyModel, ProblemSpec, check_discounting, psi1
 
 __all__ = [
     "ClassDResult",
@@ -132,6 +132,21 @@ def _estimates(values_of: Callable[[slice], np.ndarray],
     return [McEstimate(mean=mean, std_error=se, n_effective=n,
                        truncation_fraction=float(frac))
             for (mean, se), frac in zip(stats, truncated)]
+
+
+def _ladder(values: Sequence[float], name: str, what: str,
+            order: str) -> np.ndarray:
+    """``values`` as a non-empty 1-d array, positive and strictly in
+    ``order`` ("ascending" or "descending"); a NaN passes, for the caller."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(f"{name} must be a non-empty 1-d sequence")
+    if np.any(arr <= 0):
+        raise ValueError(f"{what} values must be positive")
+    step = np.diff(arr) if order == "ascending" else -np.diff(arr)
+    if np.any(step <= 0):
+        raise ValueError(f"{name} must be strictly {order}")
+    return arr
 
 
 def _resolve_horizon(cfg: SimConfig, r: float, growth: float) -> float:
@@ -625,13 +640,7 @@ def sweep(spec: ProblemSpec, b_grid: Sequence[float],
 
     b >= v needs no mask: its level is passed at time 0, so its row is 0.
     """
-    grid = np.asarray(b_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("b_grid must be a non-empty 1-d sequence")
-    if np.any(grid <= 0):
-        raise ValueError("b values must be positive")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("b_grid must be strictly ascending")
+    grid = _ladder(b_grid, "b_grid", "b", "ascending")
     dyn = _Dynamics.from_model(spec.model)
     horizon = _resolve_horizon(cfg, spec.r, spec.psi1)
     with np.errstate(divide="ignore"):  # b / v may underflow to 0
@@ -642,9 +651,9 @@ def sweep(spec: ProblemSpec, b_grid: Sequence[float],
     estimates = _estimates(values.__getitem__, values.shape, record.missed())
     means = np.array([e.mean for e in estimates])
     arg = int(np.argmax(means))
-    diffs = values[arg][None, :] - values
-    diff_se = np.std(diffs, ddof=1, axis=1) / math.sqrt(cfg.n_paths)
-    flat = (means[arg] - means) <= diff_se
+    paired = _estimates(lambda rows: values[arg] - values[rows], values.shape,
+                        [0.0] * grid.size)
+    flat = (means[arg] - means) <= np.array([e.std_error for e in paired])
     return SweepResult(b_grid=grid, estimates=estimates, argmax_index=arg,
                        argmax_b=float(grid[arg]), flat=flat, values=values)
 
@@ -671,13 +680,7 @@ def epsilon_stop_paths(spec: ProblemSpec, result: ThresholdResult,
 
     A boundary at or above v needs no mask: it is entered at time 0.
     """
-    eps_arr = np.asarray(eps_list, dtype=float)
-    if eps_arr.ndim != 1 or eps_arr.size == 0:
-        raise ValueError("eps_list must be a non-empty 1-d sequence")
-    if np.any(eps_arr <= 0):
-        raise ValueError("eps values must be positive")
-    if np.any(np.diff(eps_arr) >= 0):
-        raise ValueError("eps_list must be strictly descending")
+    eps_arr = _ladder(eps_list, "eps_list", "eps", "descending")
     bounds = np.array([epsilon_region(spec, result, e) for e in eps_arr])
     dyn = _Dynamics.from_model(spec.model)
     horizon = _resolve_horizon(cfg, spec.r, spec.psi1)
@@ -725,9 +728,7 @@ def class_d_diagnostic(model: LevyModel, r: float, n_levels: Sequence[int],
     sigma^2}).  n = 1 needs no branch: level 0 is passed at time 0, so its
     payoff is e^0 = 1 on every path.
     """
-    growth = psi1(model)
-    if not r > growth:
-        raise ValueError(f"class-D ladder needs r > psi(1) = {growth:.6g}")
+    growth = check_discounting(model, r)
     ns = np.asarray(n_levels, dtype=float)
     if not np.all((1 <= ns) & (ns < math.inf) & (np.floor(ns) == ns)):
         raise ValueError("ladder values must be integers >= 1")

@@ -50,6 +50,7 @@ __all__ = [
     "ProblemSpec",
     "SpectNegKou",
     "assumption_report",
+    "check_discounting",
     "has_phi",
     "model_from_dict",
     "model_to_dict",
@@ -79,9 +80,9 @@ class PhaseJumpDiffusion:
     Exp(eta) and (q, -theta) jumps down by Exp(theta).  Each phase adds
     a p z / (rate - z) to the exponent, a form with no cancellation near
     z = 0, and puts a pole at its rate.  A family's ``__post_init__``
-    validates its fields and calls ``_fix_phases`` once; the phase tables
-    are plain attributes, not dataclass fields, so ``asdict`` returns the
-    JSON fields only.
+    calls ``_fix_phases`` once, which checks the fields the families share
+    and stores the phase tables as plain attributes, not dataclass fields,
+    so ``asdict`` returns the JSON fields only.
     """
 
     diffusive: ClassVar[bool] = True
@@ -89,6 +90,13 @@ class PhaseJumpDiffusion:
     poles: Tuple[float, ...]
 
     def _fix_phases(self, *phases: Tuple[float, float]) -> None:
+        _require(self.sigma > 0, "sigma must be positive")
+        if phases:
+            _require(self.a > 0, "jump intensity a must be positive")
+        # Fields, not signed rates: eta2 < -1 would pass as an up rate.
+        _require(getattr(self, "eta1", 2.0) > 1,
+                 "eta1 must exceed 1 so E[exp(X_t)] is finite")
+        _require(getattr(self, "eta2", 1.0) > 0, "eta2 must be positive")
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "poles",
                            tuple(sorted([rate for _, rate in phases])))
@@ -125,7 +133,6 @@ class BrownianDrift(PhaseJumpDiffusion):
         "adjusted rate); holds whenever r > psi(1)")
 
     def __post_init__(self) -> None:
-        _require(self.sigma > 0, "sigma must be positive")
         self._fix_phases()
 
 
@@ -152,13 +159,9 @@ class KouJD(PhaseJumpDiffusion):
         "so the upward-passage bound decays like a negative power")
 
     def __post_init__(self) -> None:
-        _require(self.sigma > 0, "sigma must be positive")
-        _require(self.a > 0, "jump intensity a must be positive")
         _require(0.0 < self.p < 1.0,
                  "p must lie strictly in (0, 1); use ExpJD (p = 1) or "
                  "SpectNegKou (p = 0) for one-sided jumps")
-        _require(self.eta1 > 1, "eta1 must exceed 1 so E[exp(X_t)] is finite")
-        _require(self.eta2 > 0, "eta2 must be positive")
         self._fix_phases((self.p, self.eta1), (1.0 - self.p, -self.eta2))
 
 
@@ -176,9 +179,6 @@ class ExpJD(PhaseJumpDiffusion):
         "same positive-root argument as the two-sided jump diffusion")
 
     def __post_init__(self) -> None:
-        _require(self.sigma > 0, "sigma must be positive")
-        _require(self.a > 0, "jump intensity a must be positive")
-        _require(self.eta1 > 1, "eta1 must exceed 1 so E[exp(X_t)] is finite")
         self._fix_phases((1.0, self.eta1))
 
 
@@ -225,9 +225,6 @@ class SpectNegKou(PhaseJumpDiffusion):
         "n**(1 - phi(r))")
 
     def __post_init__(self) -> None:
-        _require(self.sigma > 0, "sigma must be positive")
-        _require(self.a > 0, "jump intensity a must be positive")
-        _require(self.eta2 > 0, "eta2 must be positive")
         self._fix_phases((1.0, -self.eta2))
 
 
@@ -266,6 +263,16 @@ def psi1(model: LevyModel) -> float:
     """Exponential growth rate psi(1) of the asset price E[exp(X_t)]."""
     # 1 lies inside every family's domain: eta1 > 1 is enforced.
     return float(model.exponent(1.0))
+
+
+def check_discounting(model: LevyModel, r: float) -> float:
+    """psi(1), after checking the discounting assumption r > psi(1)."""
+    growth = psi1(model)
+    if not r > growth:
+        raise AssumptionError(
+            "discounting assumption violated: requires "
+            f"r > psi(1) = {growth:.6g}, got r = {r:.6g}")
+    return growth
 
 
 def has_phi(model: LevyModel) -> bool:
@@ -354,12 +361,7 @@ class ProblemSpec:
         _require(self.c > 0, "c must be positive; with c = 0 waiting forever "
                              "is optimal and no finite threshold exists")
         _require(self.v > 0, "v must be positive")
-        growth = psi1(self.model)
-        if not self.r > growth:
-            raise AssumptionError(
-                "discounting assumption violated: requires "
-                f"r > psi(1) = {growth:.6g}, got r = {self.r:.6g}")
-        object.__setattr__(self, "psi1", growth)
+        object.__setattr__(self, "psi1", check_discounting(self.model, self.r))
 
     @property
     def b_upper(self) -> float:

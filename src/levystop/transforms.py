@@ -31,7 +31,7 @@ import math
 from functools import partial
 from typing import TYPE_CHECKING, Union
 
-from .models import LevyModel, ProblemSpec, psi1
+from .models import LevyModel, ProblemSpec, check_discounting
 from .roots import real_roots
 
 __all__ = ["HittingTransforms", "candidate_value"]
@@ -94,10 +94,7 @@ class HittingTransforms:
     """
 
     def __init__(self, model: LevyModel, r: float) -> None:
-        growth = psi1(model)
-        if not r > growth:
-            raise ValueError("transforms need the discounting assumption "
-                             f"r > psi(1) = {growth:.6g}; got r = {r:.6g}")
+        check_discounting(model, r)
         self.model = model
         self.r = float(r)
         if not model.diffusive:

@@ -6,6 +6,7 @@ checks honest about what they measure.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from levystop.engine import epsilon_region, threshold, value_function
 from levystop.mc import (McEstimate, SimConfig, class_d_diagnostic,
                          epsilon_stop_paths, hitting_estimates, policy_value,
                          sweep)
-from levystop.models import (BrownianDrift, ExpJD, KouJD, NegPoisson,
-                             ProblemSpec, SpectNegKou, psi)
+from levystop.models import (AssumptionError, BrownianDrift, ExpJD, KouJD,
+                             NegPoisson, ProblemSpec, SpectNegKou, psi)
 from levystop.transforms import HittingTransforms
 
 BM = BrownianDrift(m=0.0, sigma=1.0)
@@ -392,7 +393,7 @@ def test_batched_estimates_match_per_row_reductions(monkeypatch):
         sweep(spec, res.b_c * np.array([0.5, 1.0, 2.0]), cfg)
         epsilon_stop_paths(spec, res, [1e-1, 1e-3], cfg)
         class_d_diagnostic(spec.model, spec.r, [1, 2, 4], cfg)
-    assert checked.calls == 18  # hitting_estimates makes two calls
+    assert checked.calls == 21  # hitting_estimates and sweep make two each
 
 
 def test_resolvent_integral_matches_its_mean_at_the_horizon():
@@ -473,6 +474,22 @@ def test_sweep_structure_and_inactive_levels():
     lo, hi = result.flat_interval()
     assert lo <= result.argmax_b <= hi
     assert result.argmax_b == grid[result.argmax_index]
+
+
+def test_sweep_of_one_path_marks_its_argmax_flat():
+    # One path gives every paired SE 0, with no degrees-of-freedom warning:
+    # the argmax, and any row that ties it, is flat.
+    cfg = SimConfig(n_paths=1, horizon=10.0, seed=3)
+    for spec in (BM_SPEC, NP_SPEC):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = sweep(spec, [0.2, 0.3, 0.5, 4.0], cfg)
+        assert all(est.std_error == 0.0 for est in result.estimates)
+        means = np.array([est.mean for est in result.estimates])
+        assert result.flat.tolist() == (means == means.max()).tolist()
+        assert result.flat[result.argmax_index]
+        lo, hi = result.flat_interval()
+        assert lo <= result.argmax_b <= hi
 
 
 def test_counter_family_levels_in_one_bucket_are_paired_exactly():
@@ -582,7 +599,8 @@ def test_argument_validation():
         epsilon_stop_paths(BM_SPEC, res, [1e-3, 1e-2], cfg)
     with pytest.raises(ValueError, match="positive"):
         epsilon_stop_paths(BM_SPEC, res, [1e-2, -1e-3], cfg)
-    with pytest.raises(ValueError, match="r > psi"):
+    with pytest.raises(AssumptionError,
+                       match=r"requires r > psi\(1\) = 0.5, got r = 0.3"):
         class_d_diagnostic(BM, 0.3, [2, 4], cfg)
     with pytest.raises(ValueError, match="increasing"):
         class_d_diagnostic(BM, 1.0, [4, 2], cfg)

@@ -129,6 +129,39 @@ def test_parameter_validation():
         SpectNegKou(m=0.0, sigma=0.3, a=0.5, eta2=0.0)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: BrownianDrift(m=0.0, sigma=0.0), "sigma must be positive"),
+    (lambda: KouJD(m=0.0, sigma=-0.3, a=0.5, p=0.4, eta1=3.0, eta2=2.0),
+     "sigma must be positive"),
+    (lambda: SpectNegKou(m=0.0, sigma=math.nan, a=0.5, eta2=2.0),
+     "sigma must be positive"),
+    (lambda: KouJD(m=0.0, sigma=0.3, a=0.0, p=0.4, eta1=3.0, eta2=2.0),
+     "jump intensity a must be positive"),
+    (lambda: ExpJD(m=0.0, sigma=0.3, a=-0.5, eta1=2.0),
+     "jump intensity a must be positive"),
+    (lambda: SpectNegKou(m=0.0, sigma=0.3, a=math.nan, eta2=2.0),
+     "jump intensity a must be positive"),
+    (lambda: NegPoisson(a=0.0), "jump intensity a must be positive"),
+    (lambda: KouJD(m=0.0, sigma=0.3, a=0.5, p=0.4, eta1=1.0, eta2=2.0),
+     "eta1 must exceed 1 so E[exp(X_t)] is finite"),
+    (lambda: ExpJD(m=0.0, sigma=0.3, a=0.5, eta1=math.nan),
+     "eta1 must exceed 1 so E[exp(X_t)] is finite"),
+    (lambda: KouJD(m=0.0, sigma=0.3, a=0.5, p=0.4, eta1=3.0, eta2=0.0),
+     "eta2 must be positive"),
+    # -eta2 = 2 is a valid up rate: the rule must read eta2 itself.
+    (lambda: SpectNegKou(m=0.0, sigma=0.3, a=0.5, eta2=-2.0),
+     "eta2 must be positive"),
+    (lambda: KouJD(m=0.0, sigma=0.3, a=0.5, p=0.4, eta1=3.0, eta2=-2.0),
+     "eta2 must be positive"),
+    (lambda: SpectNegKou(m=0.0, sigma=0.3, a=0.5, eta2=math.nan),
+     "eta2 must be positive"),
+])
+def test_family_field_messages(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
 def test_kou_degenerate_p_is_rejected_with_redirect():
     with pytest.raises(ValueError, match="SpectNegKou"):
         KouJD(m=0.0, sigma=0.3, a=0.5, p=0.0, eta1=3.0, eta2=2.0)

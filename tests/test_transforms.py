@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 from levystop import transforms
 from levystop.engine import value_function
 from levystop.mc import SimConfig, hitting_estimates
-from levystop.models import (BrownianDrift, ExpJD, KouJD, NegPoisson,
-                             PhaseJumpDiffusion, ProblemSpec, SpectNegKou,
-                             psi)
+from levystop.models import (AssumptionError, BrownianDrift, ExpJD, KouJD,
+                             NegPoisson, PhaseJumpDiffusion, ProblemSpec,
+                             SpectNegKou, psi)
 from levystop.roots import emery_root
 from levystop.transforms import HittingTransforms, candidate_value
 
@@ -181,8 +181,11 @@ def test_fuzzed_domination_spectneg(x, m, sigma, a, eta2):
 
 
 def test_transforms_require_discounting_margin():
-    with pytest.raises(ValueError):
-        HittingTransforms(BrownianDrift(m=0.0, sigma=1.0), 0.4)
+    # The same AssumptionError, with the same message, as ProblemSpec.
+    for r in (0.4, 0.5, math.nan):
+        with pytest.raises(AssumptionError,
+                           match=r"requires r > psi\(1\) = 0.5, got r ="):
+            HittingTransforms(BrownianDrift(m=0.0, sigma=1.0), r)
 
 
 def test_candidate_value_domain_and_limits():
