@@ -3,8 +3,9 @@
 Commands: inspect, threshold, value, sweep, scale-fn, simulate.  Outputs
 are deterministic given the seed and carry no timestamps, so identical
 invocations produce byte-identical files.  Exit codes: 0 success, 1 input
-error, 2 assumption violation, 3 numerical failure (a characteristic root
-that cannot be bracketed in floating point, or fails its residual check).
+error (out of memory included), 2 assumption violation, 3 numerical failure
+(a characteristic root that cannot be bracketed in floating point, or fails
+its residual check).
 Each command imports only what it evaluates: ``inspect`` and ``threshold``
 solve scalar roots and never load numpy; ``value`` and ``scale-fn`` load
 it; ``sweep`` and ``simulate`` also load the Monte Carlo module ``mc``.
@@ -175,8 +176,8 @@ def cmd_scale_fn(args: argparse.Namespace) -> int:
     if (grid < 0).any():
         raise ValueError("x grid must be nonnegative")
     sf = ScaleFunction(model, args.q, x_max=max(float(grid[-1]), 1.0))
-    rows = [[x, sf.W(x), sf.Wprime(x), sf.Z(x)] for x in grid]
-    _emit_csv(["x", "W", "Wprime", "Z"], rows, args.out)
+    rows = zip(grid, sf.W(grid), sf.Wprime(grid), sf.Z(grid))
+    _emit_csv(["x", "W", "Wprime", "Z"], list(rows), args.out)
     return 0
 
 
@@ -261,6 +262,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # a grid or path count beyond the host
+        print(f"input error: out of memory. {exc}".rstrip(), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -533,8 +533,8 @@ def hitting_estimates(model: LevyModel, r: float, levels: Sequence[float],
     the estimates down by at most e^{-r T} per truncated path; the
     truncation fraction is reported so callers can budget for it.
     """
-    if not r > 0:
-        raise ValueError("r must be positive")
+    if not 0 < r < math.inf:
+        raise ValueError(f"r must be positive and finite, got r = {r}")
     if np.any(np.asarray(levels, dtype=float) >= 0):
         raise ValueError("passage levels must be negative")
     dyn = _Dynamics.from_model(model)
@@ -723,10 +723,14 @@ def class_d_diagnostic(model: LevyModel, r: float, n_levels: Sequence[int],
     e^{-rt+X_t} >= n exactly when Y_t <= -ln n, and the payoff at passage
     is e^{-Y}; a diffusion crossing lands on -ln n so its payoff is n with
     no variance beyond the hit indicator.  When the mirrored drift is
-    positive, paths that a jump leaves ``_ABANDON_DEPTH`` = 10 or more above
-    the start are abandoned as misses (recovery probability <= e^{-2 m D /
-    sigma^2}).  n = 1 needs no branch: level 0 is passed at time 0, so its
-    payoff is e^0 = 1 on every path.
+    positive, paths that a jump leaves ``_ABANDON_DEPTH`` = D = 10 or more
+    above the start are abandoned as misses.  By Lundberg's inequality for
+    Y, their chance of falling back by D is at most e^{-R D}, where R > 0
+    solves psi(R) = r R (below X's up rate, if any).  For a diffusion R is
+    2 m / sigma^2, with m the mirrored drift; up jumps in X lower it, and
+    the bound is 5.4e-13 on the AC-4 kou spec and 1.7e-9 on the expjd one.
+    n = 1 needs no branch: level 0 is passed at time 0, so its payoff is
+    e^0 = 1 on every path.
     """
     growth = check_discounting(model, r)
     ns = np.asarray(n_levels, dtype=float)

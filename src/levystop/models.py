@@ -266,12 +266,14 @@ def psi1(model: LevyModel) -> float:
 
 
 def check_discounting(model: LevyModel, r: float) -> float:
-    """psi(1), after checking the discounting assumption r > psi(1)."""
+    """psi(1), after checking that r is finite and r > psi(1) (discounting)."""
     growth = psi1(model)
     if not r > growth:
         raise AssumptionError(
             "discounting assumption violated: requires "
             f"r > psi(1) = {growth:.6g}, got r = {r:.6g}")
+    if r == math.inf:
+        raise ValueError("r must be finite, got r = inf")
     return growth
 
 
@@ -374,17 +376,27 @@ class ProblemSpec:
 
 
 def _finite_floats(doc: dict, keys) -> dict:
-    """Each ``doc[key]`` as a float; a non-finite number is an input error."""
+    """Each ``doc[key]`` as a float; only a finite JSON number is served."""
     values = {}
     for key in keys:
-        try:
-            values[key] = float(doc[key])
-        except OverflowError:  # an integer beyond the float range
-            values[key] = math.inf
-        if not math.isfinite(values[key]):
+        value = doc[key]
+        if type(value) is not float:
+            value = _number(key, value)
+        if not math.isfinite(value):
             raise ValueError(f"field {key!r} must be a finite number, "
-                             f"got {values[key]}")
+                             f"got {value}")
+        values[key] = value
     return values
+
+
+def _number(key: str, raw) -> float:
+    """``raw`` as a float, unless it is a boolean or not a number at all."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ValueError(f"field {key!r} must be a number, got {raw!r}")
+    try:
+        return float(raw)
+    except OverflowError:  # an integer beyond the float range
+        return math.inf
 
 
 def model_from_dict(doc: dict) -> LevyModel:

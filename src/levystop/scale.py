@@ -56,31 +56,37 @@ class ScaleFunction:
         self._roots = np.array(real_roots(model, q))
         self._weights = 1.0 / model.exponent_prime(self._roots)
 
-    def _outer(self, x: ArrayLike):
-        """Checked 1-d arguments and beta_i * max(x, 0), one row per x."""
+    def _residues(self, x: ArrayLike, exp, weights) -> tuple:
+        """Checked 1-d arguments and sum_i weights_i exp(beta_i max(x, 0)).
+
+        The sum runs root by root, not as a matrix product, so an array and
+        its scalars agree to the last bit.
+        """
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         if not np.all(x_arr <= self.x_max * (1.0 + 1e-12)):
             raise ValueError(f"x beyond the domain [0, {self.x_max}]")
-        bx = np.multiply.outer(np.clip(x_arr, 0.0, None), self._roots)
-        if np.any(bx > _LOG_MAX):
+        x_pos = np.clip(x_arr, 0.0, None)
+        if np.any(x_pos * self._roots[-1] > _LOG_MAX):
             raise ArithmeticError(
                 "W and Z exceed the float range past x = "
                 f"{_LOG_MAX / self._roots[-1]:.6g}, where phi(q) x > "
                 f"{_LOG_MAX:.6g}")
-        return x_arr, bx
+        out = 0.0
+        for beta, weight in zip(self._roots, weights):
+            out = out + weight * exp(beta * x_pos)
+        return x_arr, out
 
     def W(self, x: ArrayLike) -> ArrayLike:
-        x_arr, bx = self._outer(x)
-        out = np.where(x_arr <= 0.0, 0.0, np.exp(bx) @ self._weights)
+        x_arr, out = self._residues(x, np.exp, self._weights)
+        out = np.where(x_arr <= 0.0, 0.0, out)
         return float(out[0]) if np.ndim(x) == 0 else out
 
     def Wprime(self, x: ArrayLike) -> ArrayLike:
-        x_arr, bx = self._outer(x)
-        out = np.exp(bx) @ (self._roots * self._weights)
+        x_arr, out = self._residues(x, np.exp, self._roots * self._weights)
         out = np.where(x_arr < 0.0, 0.0, out)
         return float(out[0]) if np.ndim(x) == 0 else out
 
     def Z(self, x: ArrayLike) -> ArrayLike:
-        x_arr, bx = self._outer(x)
-        out = 1.0 + self.q * (np.expm1(bx) @ (self._weights / self._roots))
+        _, out = self._residues(x, np.expm1, self._weights / self._roots)
+        out = 1.0 + self.q * out
         return float(out[0]) if np.ndim(x) == 0 else out

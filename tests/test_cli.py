@@ -323,9 +323,9 @@ def test_input_errors_exit_1(tmp_path, spec_path, capsys):
     assert proc.returncode == 1  # --b is required
     assert run_cli("nonsense", "--spec", spec_path).returncode == 1
 
-    # Non-finite numbers, and integers beyond the float range, are input
-    # errors naming the field or the flag, in the spec document and on the
-    # command line alike.
+    # Non-finite numbers, integers beyond the float range, booleans and
+    # strings are input errors naming the field or the flag, in the spec
+    # document and on the command line alike.
     brownian = BROWNIAN_SPEC["model"]
     kou = {"family": "kou", "m": -0.2, "sigma": 0.3, "a": 0.5, "p": 0.4,
            "eta1": 3.0, "eta2": 2.0}
@@ -337,7 +337,10 @@ def test_input_errors_exit_1(tmp_path, spec_path, capsys):
             ("m", dict(BROWNIAN_SPEC, model=dict(kou, m=-math.inf))),
             ("a", dict(BROWNIAN_SPEC, model=dict(kou, a=math.inf))),
             ("r", dict(BROWNIAN_SPEC, r=math.nan)),
-            ("v", dict(BROWNIAN_SPEC, v=10**400))):
+            ("v", dict(BROWNIAN_SPEC, v=10**400)),
+            ("sigma", dict(BROWNIAN_SPEC, model=dict(brownian, sigma=True))),
+            ("r", dict(BROWNIAN_SPEC, r="1.5")),
+            ("c", dict(BROWNIAN_SPEC, c=" 2 "))):
         path = write_spec(tmp_path, doc, "nonfinite.json")
         assert main_exit_code("threshold", "--spec", path) == 1
         assert repr(field) in capsys.readouterr().err
@@ -352,6 +355,19 @@ def test_input_errors_exit_1(tmp_path, spec_path, capsys):
             ("grid", ("value", "--grid", "1:inf:3"))):
         assert main_exit_code(*args, "--spec", spec_path) == 1
         assert flag in capsys.readouterr().err
+
+
+def test_memory_error_exits_1(spec_path, monkeypatch, capsys):
+    # Stands in for an allocation beyond the host, such as
+    # `value --grid 0.1:2:1000000000000000`; nothing is allocated for real.
+    for exc in (MemoryError("Unable to allocate 7.28 PiB"), MemoryError()):
+        def fail(args, exc=exc):
+            raise exc
+        monkeypatch.setattr(cli, "cmd_value", fail)
+        assert main_exit_code("value", "--spec", spec_path,
+                              "--grid", "0.1:2:5") == 1
+        err = capsys.readouterr().err
+        assert err == f"input error: out of memory. {exc}".rstrip() + "\n"
 
 
 def test_stdout_and_file_output_agree(tmp_path, spec_path):

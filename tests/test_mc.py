@@ -619,6 +619,11 @@ def test_argument_validation():
         hitting_estimates(BM, math.nan, [-0.5], cfg)
     with pytest.raises(ValueError, match="r > psi"):
         class_d_diagnostic(BM, math.nan, [1, 2], cfg)
+    # An infinite r is rejected by name, not turned into silent estimates.
+    with pytest.raises(ValueError, match="r must be positive and finite"):
+        hitting_estimates(BM, math.inf, [-0.5], cfg)
+    with pytest.raises(ValueError, match="r must be finite"):
+        class_d_diagnostic(BM, math.inf, [1, 2], cfg)
     with pytest.raises(ValueError, match="t must be positive"):
         sample_increment(BM, math.nan, 3, seed=1)
     with pytest.raises(ValueError, match="NaN"):

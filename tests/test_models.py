@@ -211,11 +211,23 @@ def test_discounting_assumption_message_names_threshold():
 
 def test_spec_rejects_nonpositive_inputs():
     model = BrownianDrift(m=0.0, sigma=1.0)
-    for kw in (dict(r=-1.0), dict(alpha=0.0), dict(c=0.0), dict(v=0.0)):
+    for kw in (dict(r=-1.0), dict(r=math.inf), dict(alpha=0.0), dict(c=0.0),
+               dict(v=0.0)):
         args = dict(r=1.0, alpha=1.0, c=1.0, v=1.0)
         args.update(kw)
         with pytest.raises((ValueError, AssumptionError)):
             ProblemSpec(model=model, **args)
+
+
+def test_spec_fields_must_be_numbers():
+    # JSON integers are numbers; booleans, strings, null and lists are not.
+    doc = {"model": {"family": "brownian", "m": 0, "sigma": 1},
+           "r": 1, "alpha": 1.0, "c": 1.0, "v": 1.0}
+    assert spec_from_dict(doc).model.sigma == 1.0
+    for key, bad in (("v", False), ("alpha", None), ("r", [1.0])):
+        with pytest.raises(ValueError,
+                           match=f"field {key!r} must be a number"):
+            spec_from_dict(dict(doc, **{key: bad}))
 
 
 def test_b_upper_formula():

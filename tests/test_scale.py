@@ -296,3 +296,16 @@ def test_spectneg_transforms_match_scale_function_identity():
         assert np.max(np.abs(ht.L(x) - (z - r / big_phi * w))) < 1e-10
         assert np.max(np.abs(ht.G(x) - (z1 - gap / (big_phi - 1.0) * w1))) \
             < 1e-10
+
+
+def test_arrays_and_scalars_agree_to_the_last_bit():
+    # The residues are summed root by root, as in transforms._root_sum, so
+    # an array argument gives each point the bits of its scalar call.
+    xs = np.concatenate(([-0.5], np.linspace(0.0, 10.0, 1001)))
+    for model in (SpectNegKou(m=0.1, sigma=0.7, a=0.9, eta2=1.8),
+                  BrownianDrift(m=0.3, sigma=0.8)):
+        sf = ScaleFunction(model, 2.0, x_max=10.0)
+        for fn in (sf.W, sf.Wprime, sf.Z):
+            vec = fn(xs)
+            assert vec.shape == xs.shape
+            assert vec.tolist() == [fn(float(x)) for x in xs]

@@ -186,6 +186,8 @@ def test_transforms_require_discounting_margin():
         with pytest.raises(AssumptionError,
                            match=r"requires r > psi\(1\) = 0.5, got r ="):
             HittingTransforms(BrownianDrift(m=0.0, sigma=1.0), r)
+    with pytest.raises(ValueError, match="r must be finite"):
+        HittingTransforms(BrownianDrift(m=0.0, sigma=1.0), math.inf)
 
 
 def test_candidate_value_domain_and_limits():
