@@ -137,13 +137,13 @@ def _estimates(values_of: Callable[[slice], np.ndarray],
 def _ladder(values: Sequence[float], name: str, what: str,
             order: str) -> np.ndarray:
     """``values`` as a non-empty 1-d array, positive and strictly in
-    ``order`` ("ascending" or "descending"); a NaN passes, for the caller."""
+    ``order`` ("ascending", "increasing" or "descending"); NaN passes."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-d sequence")
     if np.any(arr <= 0):
         raise ValueError(f"{what} values must be positive")
-    step = np.diff(arr) if order == "ascending" else -np.diff(arr)
+    step = -np.diff(arr) if order == "descending" else np.diff(arr)
     if np.any(step <= 0):
         raise ValueError(f"{name} must be strictly {order}")
     return arr
@@ -736,8 +736,7 @@ def class_d_diagnostic(model: LevyModel, r: float, n_levels: Sequence[int],
     ns = np.asarray(n_levels, dtype=float)
     if not np.all((1 <= ns) & (ns < math.inf) & (np.floor(ns) == ns)):
         raise ValueError("ladder values must be integers >= 1")
-    if np.any(np.diff(ns) <= 0):
-        raise ValueError("ladder must be strictly increasing")
+    _ladder(ns, "ladder", "ladder", "increasing")
     dyn = _Dynamics.from_model(model).mirrored(r)
     horizon = _resolve_horizon(cfg, r, growth)
     abandon = _ABANDON_DEPTH if (dyn.m > 0 and dyn.sigma > 0) else None
