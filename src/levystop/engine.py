@@ -23,7 +23,8 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 from .models import LevyModel, ProblemSpec, has_phi, phi
 from .roots import bracketed_root, real_roots
-from .transforms import HittingTransforms, candidate_value
+from .transforms import (HittingTransforms, _checked_v, _shortfall_past,
+                         candidate_value)
 
 __all__ = ["ThresholdResult", "ValueFunction", "epsilon_region",
            "threshold", "value_function"]
@@ -123,8 +124,15 @@ class ValueFunction:
     s(v) = g(v, B_c) is the expected discounted shortfall of the optimal
     policy, decreasing and convex with 0 <= s <= c/r; f is the affine
     immediate-shortfall line; w = s - f is the problem value, zero on the
-    stopping region (0, B_c] and positive beyond it.  s and w evaluate on
+    stopping region (0, B_c] and positive beyond it.  w is evaluated
+    directly, not as a difference: past B_c,
+
+        w(v) = alpha v / (r - psi(1)) - c / r + g(v, B_c),
+
+    where g sums one power term (v / B_c)^{beta_k} per negative root (the
+    counter: its lattice L and G).  s and w evaluate on
     ``result.transforms``; ``value_function`` checks they fit ``spec``.
+    A v whose alpha v / (r - psi(1)) overflows raises ``ArithmeticError``.
     """
 
     def __init__(self, spec: ProblemSpec, result: ThresholdResult) -> None:
@@ -146,11 +154,14 @@ class ValueFunction:
         return candidate_value(self.spec, self.b_c, v, self.result.transforms)
 
     def __call__(self, v: ArrayLike) -> ArrayLike:
-        import numpy as np
-        v_arr = np.asarray(v, dtype=float)
-        w = np.asarray(self.s(v_arr)) - np.asarray(self.f(v_arr))
-        out = np.where(v_arr <= self.b_c, 0.0, w)
-        return float(out) if np.ndim(v) == 0 else out
+        spec, b_c = self.spec, self.b_c
+        v_arr = _checked_v(spec, v)
+        w = (spec.alpha / (spec.r - spec.psi1) * v_arr - spec.c / spec.r
+             + _shortfall_past(spec, b_c, v_arr, self.result.transforms))
+        if v_arr.ndim == 0:
+            return 0.0 if v_arr <= b_c else float(w)
+        w[v_arr <= b_c] = 0.0
+        return w
 
 
 def value_function(spec: ProblemSpec,

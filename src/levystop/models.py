@@ -71,6 +71,11 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
+def _check_intensity(a: float) -> None:
+    """The jump-rate rule of every family with jumps; NaN fails it."""
+    _require(a > 0, "jump intensity a must be positive")
+
+
 class PhaseJumpDiffusion:
     """Shared core of the diffusive families: a phase-type jump diffusion.
 
@@ -92,7 +97,7 @@ class PhaseJumpDiffusion:
     def _fix_phases(self, *phases: Tuple[float, float]) -> None:
         _require(self.sigma > 0, "sigma must be positive")
         if phases:
-            _require(self.a > 0, "jump intensity a must be positive")
+            _check_intensity(self.a)
         # Fields, not signed rates: eta2 < -1 would pass as an up rate.
         _require(getattr(self, "eta1", 2.0) > 1,
                  "eta1 must exceed 1 so E[exp(X_t)] is finite")
@@ -196,7 +201,7 @@ class NegPoisson:
         "bounded")
 
     def __post_init__(self) -> None:
-        _require(self.a > 0, "jump intensity a must be positive")
+        _check_intensity(self.a)
 
     # math.exp keeps numpy out of psi1; at z = 1 it equals np.exp bit for bit.
     def exponent(self, z):

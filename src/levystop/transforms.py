@@ -22,14 +22,22 @@ wait and the passage lands on the integer, so L and G are powers.
 
 The canonical argument is log-moneyness x = ln(b / v); callers never hand
 (v, b) pairs to transform code.  ``candidate_value`` performs that change of
-variable once, in one place.
+variable once, in one place.  Past b it does not evaluate L and G apart:
+since v e^x = b, each negative root contributes one power term,
+
+    g(v, b) = sum_k (c/r wL_k - alpha b / (r - psi(1)) wG_k) (v / b)^{beta_k}
+
+with wL_k and wG_k the normalised L and G weights, so the value curve costs
+one exponential per root (the perpetual-option form of Mordecki 2002,
+Finance Stoch. 6, and of Asmussen, Avram & Pistorius 2004).  The counter
+keeps its lattice route through L and G.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
-from typing import TYPE_CHECKING, Union
+from functools import cached_property, partial
+from typing import TYPE_CHECKING, Optional, Union
 
 from .models import LevyModel, ProblemSpec, check_discounting
 from .roots import real_roots
@@ -107,6 +115,7 @@ class HittingTransforms:
         thetas = [-pole for pole in model.poles if pole < 0]
         terms = {False: _root_terms(self.roots, thetas, 0.0),
                  True: _root_terms(self.roots, thetas, 1.0)}
+        self._terms = terms
         self._passage = partial(_root_sum, terms)
         ratio = 1.0
         for beta in self.roots:
@@ -114,6 +123,24 @@ class HittingTransforms:
         for theta in thetas:
             ratio *= (theta + 1.0) / theta
         self.slope_ratio = ratio
+
+    @cached_property
+    def _powers(self) -> Optional[tuple]:
+        """Triples (wL_k, wG_k, beta_k), one per negative root, or None.
+
+        wL_k and wG_k are the L and G weights of root beta_k divided by their
+        sums, taken in the order ``_root_sum`` takes them.  Built on first
+        use, so ``threshold`` never pays for them; None for the counter.
+        """
+        if not self.model.diffusive:
+            return None
+        l_terms, g_terms = self._terms[False], self._terms[True]
+        l_sum = g_sum = 0.0
+        for (c_l, _), (c_g, _) in zip(l_terms, g_terms):
+            l_sum += c_l
+            g_sum += c_g
+        return tuple([(c_l / l_sum, c_g / g_sum, beta) for (c_l, _), (c_g, _),
+                      beta in zip(l_terms, g_terms, self.roots)])
 
     def _eval(self, x: ArrayLike, want_joint: bool) -> ArrayLike:
         import numpy as np
@@ -130,6 +157,45 @@ class HittingTransforms:
         return self._eval(x, want_joint=True)
 
 
+def _checked_v(spec: ProblemSpec, v: ArrayLike) -> np.ndarray:
+    """v as a float array, rejected unless positive, finite and small
+    enough that alpha v / (r - psi(1)) is a float."""
+    import numpy as np
+    v_arr = np.asarray(v, dtype=float)
+    v_max = float(v_arr.max(initial=0.0))
+    # NaN fails both tests; ``initial`` lets an empty v through.
+    if not (0 < v_arr.min(initial=math.inf) and v_max < math.inf):
+        raise ValueError("v must be positive and finite")
+    if not math.isfinite(spec.alpha / (spec.r - spec.psi1) * v_max):
+        raise ArithmeticError(f"alpha v / (r - psi(1)) overflows at "
+                              f"v = {v_max:.6g}")
+    return v_arr
+
+
+def _shortfall_past(spec: ProblemSpec, b: float, v_arr: np.ndarray,
+                    transforms: HittingTransforms) -> np.ndarray:
+    """g(v, b) wherever v > b; finite, but not g, where v <= b.
+
+    The logs are differenced, not taken of v / b, which overflows or
+    underflows at the ends of the float range.
+    """
+    import numpy as np
+    lin, const = spec.alpha / (spec.r - spec.psi1), spec.c / spec.r
+    powers = transforms._powers
+    if powers is None:
+        # lin * v, which _checked_v bounds, not alpha * v, which it does not
+        x = np.minimum(math.log(b) - np.log(v_arr), 0.0)
+        return (-lin * v_arr * transforms._passage(x, True)
+                + const * transforms._passage(x, False))
+    y = np.maximum(np.log(v_arr) - math.log(b), 0.0)
+    lin_b = lin * b
+    (w_l, w_g, beta), *rest = powers
+    out = (const * w_l - lin_b * w_g) * np.exp(beta * y)
+    for w_l, w_g, beta in rest:
+        out = out + (const * w_l - lin_b * w_g) * np.exp(beta * y)
+    return out
+
+
 def candidate_value(spec: ProblemSpec, b: float, v: ArrayLike,
                     transforms: HittingTransforms) -> ArrayLike:
     """Expected discounted shortfall g(v, b) of the stop-at-b policy.
@@ -138,22 +204,22 @@ def candidate_value(spec: ProblemSpec, b: float, v: ArrayLike,
     is positive exactly when b lies in the open interval (0, b_upper); the
     threshold engine maximises the full policy value by minimising g.
 
-    For v <= b the passage is immediate and g reduces to
-    f(v) = -alpha v / (r - psi(1)) + c / r.  ``transforms`` are those of
-    ``spec``; x = ln(min(b / v, 1)) <= 0 goes to them with no second clamp.
+    For v <= b the passage is immediate and g is exactly
+    f(v) = -alpha v / (r - psi(1)) + c / r.  Past b the diffusive families
+    sum one power term (v / b)^{beta_k} per negative root (see the module
+    docstring), one exponential each; the counter evaluates L and G at
+    x = ln(b / v).  ``transforms`` are those of ``spec``.  A v whose
+    alpha v / (r - psi(1)) overflows raises ``ArithmeticError``.
     """
     b = float(b)
     if not 0.0 < b < spec.b_upper:
         raise ValueError(f"b must lie in (0, {spec.b_upper:.6g}) for the "
                          f"candidate value to be positive; got {b:.6g}")
     import numpy as np
-    v_arr = np.asarray(v, dtype=float)
-    # NaN fails both tests; ``initial`` lets an empty v through.
-    if not (0 < v_arr.min(initial=math.inf)
-            and v_arr.max(initial=0.0) < math.inf):
-        raise ValueError("v must be positive and finite")
-    x = np.log(np.minimum(b / v_arr, 1.0))
-    denom = spec.r - spec.psi1
-    out = (-spec.alpha * v_arr / denom * transforms._passage(x, True)
-           + spec.c / spec.r * transforms._passage(x, False))
+    v_arr = _checked_v(spec, v)
+    # f is wanted where v <= b only; the clamp keeps alpha v finite.
+    f = (-spec.alpha * np.minimum(v_arr, b) / (spec.r - spec.psi1)
+         + spec.c / spec.r)
+    out = np.where(v_arr <= b, f, _shortfall_past(spec, b, v_arr,
+                                                  transforms))
     return float(out) if np.ndim(v) == 0 else out

@@ -370,6 +370,41 @@ def test_memory_error_exits_1(spec_path, monkeypatch, capsys):
         assert err == f"input error: out of memory. {exc}".rstrip() + "\n"
 
 
+def test_value_at_the_float_range_edges(tmp_path, capsys):
+    # Past the top of the float range alpha v / (r - psi(1)), and with it
+    # w, overflows: exit 3 naming that v, not a silent NaN.
+    path = write_spec(tmp_path, dict(BROWNIAN_SPEC, r=0.6, v=3.2))
+    assert main_exit_code("value", "--spec", path,
+                          "--grid", "1e300:1.7e308:2") == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("numerical failure: alpha v / (r - psi(1)) overflows at "
+                   "v = 1.7e+308\n")
+    # Subnormal v lies deep in the stopping region: w = 0 with no overflow
+    # in v / b, and w at the top of the hold region stays finite.  Warnings
+    # are errors here, so a RuntimeWarning would fail the run.
+    for model in FAMILY_MODELS:
+        path = write_spec(tmp_path, dict(BROWNIAN_SPEC, model=model, r=0.5),
+                          model["family"] + ".json")
+        assert main_exit_code("value", "--spec", path,
+                              "--grid", "1e-320:1e-310:3") == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert [w for _, w in rows[1:]] == ["0", "0", "0"], model["family"]
+        assert main_exit_code("value", "--spec", path,
+                              "--grid", "1e250:1e300:3") == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert all(math.isfinite(float(w)) and float(w) > 0
+                   for _, w in rows[1:]), model["family"]
+        # alpha v overflows here, alpha v / (r - psi(1)) does not
+        path = write_spec(tmp_path, dict(BROWNIAN_SPEC, model=model, r=5.0,
+                                         alpha=3.0), model["family"] + ".json")
+        assert main_exit_code("value", "--spec", path,
+                              "--grid", "1e307:1e308:2") == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert all(math.isfinite(float(w)) and float(w) > 0
+                   for _, w in rows[1:]), model["family"]
+
+
 def test_stdout_and_file_output_agree(tmp_path, spec_path):
     to_stdout = run_cli("threshold", "--spec", spec_path)
     out = tmp_path / "t.json"

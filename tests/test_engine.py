@@ -315,6 +315,18 @@ def test_threshold_solves_the_report_roots_only_when_read(monkeypatch):
             "brownian", "kou", "spectneg_kou"))
 
 
+def test_threshold_leaves_the_value_weights_unbuilt():
+    # The fused value-curve weights are built on the first value call, so
+    # threshold pays nothing for them.
+    for spec in sample_specs():
+        res = threshold(spec)
+        assert "_powers" not in vars(res.transforms), spec.model.family
+        value_function(spec, res)(2.0 * res.b_c)
+        assert "_powers" in vars(res.transforms)
+        assert (res.transforms._powers is None) == (
+            spec.model.family == "neg_poisson")
+
+
 def test_threshold_result_equality_tells_models_apart():
     spec = sample_specs()[1]
     res = threshold(spec)

@@ -142,6 +142,7 @@ def test_parameter_validation():
     (lambda: SpectNegKou(m=0.0, sigma=0.3, a=math.nan, eta2=2.0),
      "jump intensity a must be positive"),
     (lambda: NegPoisson(a=0.0), "jump intensity a must be positive"),
+    (lambda: NegPoisson(a=math.nan), "jump intensity a must be positive"),
     (lambda: KouJD(m=0.0, sigma=0.3, a=0.5, p=0.4, eta1=1.0, eta2=2.0),
      "eta1 must exceed 1 so E[exp(X_t)] is finite"),
     (lambda: ExpJD(m=0.0, sigma=0.3, a=0.5, eta1=math.nan),
