@@ -129,10 +129,12 @@ class ValueFunction:
 
         w(v) = alpha v / (r - psi(1)) - c / r + g(v, B_c),
 
-    where g sums one power term (v / B_c)^{beta_k} per negative root (the
-    counter: its lattice L and G).  s and w evaluate on
-    ``result.transforms``; ``value_function`` checks they fit ``spec``.
-    A v whose alpha v / (r - psi(1)) overflows raises ``ArithmeticError``.
+    where g sums one exponential per root of the table of
+    ``result.transforms`` (see ``transforms``): powers (v / B_c)^{beta_k},
+    and for the counter its one lattice term.  ``value_function`` checks
+    that the transforms fit ``spec``.  f, s and w reject a v that is not
+    positive and finite with ``ValueError``, and one whose
+    alpha v / (r - psi(1)) overflows with ``ArithmeticError``.
     """
 
     def __init__(self, spec: ProblemSpec, result: ThresholdResult) -> None:
@@ -144,11 +146,10 @@ class ValueFunction:
         return self.result.b_c
 
     def f(self, v: ArrayLike) -> ArrayLike:
-        import numpy as np
-        v_arr = np.asarray(v, dtype=float)
-        out = (-self.spec.alpha * v_arr / (self.spec.r - self.spec.psi1)
-               + self.spec.c / self.spec.r)
-        return float(out) if np.ndim(v) == 0 else out
+        spec = self.spec
+        v_arr = _checked_v(spec, v)
+        out = -spec.alpha * v_arr / (spec.r - spec.psi1) + spec.c / spec.r
+        return float(out) if v_arr.ndim == 0 else out
 
     def s(self, v: ArrayLike) -> ArrayLike:
         return candidate_value(self.spec, self.b_c, v, self.result.transforms)

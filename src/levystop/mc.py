@@ -42,6 +42,7 @@ import numpy as np
 
 from .engine import ThresholdResult, epsilon_region
 from .models import LevyModel, ProblemSpec, check_discounting, psi1
+from .transforms import _checked_v
 
 __all__ = [
     "ClassDResult",
@@ -592,9 +593,12 @@ def policy_value(spec: ProblemSpec, b: float, cfg: SimConfig) -> PolicyValue:
     """Estimate E_v[int_0^{tau_b} e^{-rs}(alpha V_s - c) ds] two ways.
 
     b >= v needs no branch: its level is passed at time 0, so both are 0.
+    A v whose alpha v / (r - psi(1)) overflows raises ``ArithmeticError``
+    before any path is drawn.
     """
     if b <= 0:
         raise ValueError("b must be positive")
+    _checked_v(spec, spec.v)
     dyn = _Dynamics.from_model(spec.model)
     horizon = _resolve_horizon(cfg, spec.r, spec.psi1)
     # log(b) - log(v), not log(b / v), which underflows for a tiny b.
@@ -639,8 +643,11 @@ def sweep(spec: ProblemSpec, b_grid: Sequence[float],
     """Paired estimates of the policy value on every b in one path set.
 
     b >= v needs no mask: its level is passed at time 0, so its row is 0.
+    A v whose alpha v / (r - psi(1)) overflows raises ``ArithmeticError``
+    before any path is drawn.
     """
     grid = _ladder(b_grid, "b_grid", "b", "ascending")
+    _checked_v(spec, spec.v)
     dyn = _Dynamics.from_model(spec.model)
     horizon = _resolve_horizon(cfg, spec.r, spec.psi1)
     with np.errstate(divide="ignore"):  # b / v may underflow to 0

@@ -26,6 +26,7 @@ import numpy as np
 
 from .models import LevyModel, has_phi
 from .roots import real_roots
+from .transforms import _exp_sum
 
 __all__ = ["ScaleFunction"]
 
@@ -57,11 +58,8 @@ class ScaleFunction:
         self._weights = 1.0 / model.exponent_prime(self._roots)
 
     def _residues(self, x: ArrayLike, exp, weights) -> tuple:
-        """Checked 1-d arguments and sum_i weights_i exp(beta_i max(x, 0)).
-
-        The sum runs root by root, not as a matrix product, so an array and
-        its scalars agree to the last bit.
-        """
+        """Checked 1-d arguments and sum_i weights_i exp(beta_i max(x, 0)),
+        summed by ``_exp_sum`` so an array agrees with its scalars."""
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         if not np.all(x_arr <= self.x_max * (1.0 + 1e-12)):
             raise ValueError(f"x beyond the domain [0, {self.x_max}]")
@@ -71,10 +69,7 @@ class ScaleFunction:
                 "W and Z exceed the float range past x = "
                 f"{_LOG_MAX / self._roots[-1]:.6g}, where phi(q) x > "
                 f"{_LOG_MAX:.6g}")
-        out = 0.0
-        for beta, weight in zip(self._roots, weights):
-            out = out + weight * exp(beta * x_pos)
-        return x_arr, out
+        return x_arr, _exp_sum(zip(weights, self._roots), x_pos, exp)
 
     def W(self, x: ArrayLike) -> ArrayLike:
         x_arr, out = self._residues(x, np.exp, self._weights)

@@ -9,35 +9,37 @@ where ``tau_x`` is the first time X falls to or below ``x <= 0``, starting
 from 0.  Both equal 1 for x >= 0 (the passage is immediate) and both are
 nondecreasing with 0 <= G <= L <= 1.
 
-Every diffusive family is a diffusion with jumps from a mixture of
-exponential phases, and its passage transforms share one closed form
-(Cai 2009, "On first passage times of a hyper-exponential jump diffusion
-process", Oper. Res. Lett. 37; Asmussen, Avram & Pistorius 2004, Stoch.
-Proc. Appl. 109).  With n down phases of rates theta_j, psi(beta) = r has
-n + 1 negative roots beta_k, and L is a sum of exp(-beta_k x) with
-product-form weights; G is the same sum under the Esscher tilt.  With no
-down phase the one root gives L = exp(-beta x): X creeps onto the level.
-The unit-jump counter has no diffusion: each unit of depth costs one Exp(a)
-wait and the passage lands on the integer, so L and G are powers.
+For every family L and G sum one exponential per negative root beta_k of
+psi(beta) = r, at the depth d >= 0 of the passage level:
+
+    L(x) = sum_k wL_k e^{beta_k d},    G(x) = sum_k wG_k e^{(beta_k - 1) d}.
+
+The diffusive families, with jumps from a mixture of exponential phases,
+have d = -x, n + 1 negative roots for n down phases, and weights that are
+products over the roots and the down-phase rates (Cai 2009, "On first
+passage times of a hyper-exponential jump diffusion process", Oper. Res.
+Lett. 37; Asmussen, Avram & Pistorius 2004, Stoch. Proc. Appl. 109).  The
+unit-jump counter is the one-root case on the integer lattice: each unit
+of depth costs one Exp(a) wait, so d = ceil(-x), beta = ln(a / (r + a))
+and both weights are 1.
 
 The canonical argument is log-moneyness x = ln(b / v); callers never hand
 (v, b) pairs to transform code.  ``candidate_value`` performs that change of
-variable once, in one place.  Past b it does not evaluate L and G apart:
-since v e^x = b, each negative root contributes one power term,
+variable once.  Past b, with y = ln(v / b), the passage lands at
+V = b e^{y - d}, so g too is one exponential per root,
 
-    g(v, b) = sum_k (c/r wL_k - alpha b / (r - psi(1)) wG_k) (v / b)^{beta_k}
+    g(v, b) = sum_k (c/r wL_k - alpha b e^{y - d} / (r - psi(1)) wG_k)
+              e^{beta_k d};
 
-with wL_k and wG_k the normalised L and G weights, so the value curve costs
-one exponential per root (the perpetual-option form of Mordecki 2002,
-Finance Stoch. 6, and of Asmussen, Avram & Pistorius 2004).  The counter
-keeps its lattice route through L and G.
+off the lattice d = y and the terms are powers (v / b)^{beta_k} (the
+perpetual-option form of Mordecki 2002, Finance Stoch. 6).
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property, partial
-from typing import TYPE_CHECKING, Optional, Union
+from functools import cached_property
+from typing import TYPE_CHECKING, Union
 
 from .models import LevyModel, ProblemSpec, check_discounting
 from .roots import real_roots
@@ -49,45 +51,38 @@ if TYPE_CHECKING:
     ArrayLike = Union[float, np.ndarray]
 
 
-def _root_terms(roots: tuple, thetas: list, s: float) -> tuple:
-    """Pairs (c_k, s - beta_k) of sum_k c_k exp((s - beta_k) x).
+def _exp_sum(terms, x, exp):
+    """sum_k w_k exp(rate_k x) over the pairs (w_k, rate_k) of ``terms``,
+    term by term in order, not as a matrix product, so an array and its
+    scalars agree to the last bit."""
+    (weight, rate), *rest = terms
+    out = weight * exp(rate * x)
+    for weight, rate in rest:
+        out = out + weight * exp(rate * x)
+    return out
 
-    c_k = prod_j (theta_j + beta_k) / (theta_j + s)
-          * prod_{i != k} (beta_i - s) / (beta_i - beta_k)
+
+def _root_weights(roots: tuple, thetas: list) -> tuple:
+    """Lists of the L and G weights c_k(0) and c_k(1); each sums to 1.
+
+    c_k(s) = prod_j (theta_j + beta_k) / (theta_j + s)
+             * prod_{i != k} (beta_i - s) / (beta_i - beta_k)
     over the down-phase rates theta_j and the negative roots beta_k, with
     s = 0 for L and s = 1 for G (the same weights under the Esscher tilt).
     """
-    terms = []
+    l_weights, g_weights = [], []
     for k, beta_k in enumerate(roots):
-        c = 1.0
+        c_l = c_g = 1.0
         for theta in thetas:
-            c *= (theta + beta_k) / (theta + s)
+            c_l *= (theta + beta_k) / theta
+            c_g *= (theta + beta_k) / (theta + 1.0)
         for i, beta_i in enumerate(roots):
             if i != k:
-                c *= (beta_i - s) / (beta_i - beta_k)
-        terms.append((c, s - beta_k))
-    return tuple(terms)
-
-
-def _root_sum(terms: dict, x: np.ndarray, want_joint: bool) -> np.ndarray:
-    """sum_k c_k exp(rate_k x) over the L or G terms, divided by sum_k c_k.
-
-    The weights sum to 1 in exact arithmetic.  Dividing by their float sum,
-    taken in the same order, makes the value at x = 0 exactly 1.  The sum
-    runs elementwise, not as a matrix product, so an array and its scalars
-    agree to the last bit.
-    """
-    import numpy as np
-    (c, rate), *rest = terms[want_joint]
-    out, total = c * np.exp(rate * x), c
-    for c, rate in rest:
-        out, total = out + c * np.exp(rate * x), total + c
-    return out / total
-
-
-def _lattice(gamma: float, x: np.ndarray, want_joint: bool) -> np.ndarray:
-    import numpy as np
-    return np.power(gamma / math.e if want_joint else gamma, np.ceil(-x))
+                c_l *= beta_i / (beta_i - beta_k)
+                c_g *= (beta_i - 1.0) / (beta_i - beta_k)
+        l_weights.append(c_l)
+        g_weights.append(c_g)
+    return l_weights, g_weights
 
 
 class HittingTransforms:
@@ -108,53 +103,48 @@ class HittingTransforms:
         if not model.diffusive:
             self.roots = ()
             gamma = model.a / (r + model.a)
-            self._passage = partial(_lattice, gamma)
             self.slope_ratio = (1.0 - gamma) / (1.0 - gamma / math.e)
             return
         self.roots = real_roots(model, r, side=-1)
-        thetas = [-pole for pole in model.poles if pole < 0]
-        terms = {False: _root_terms(self.roots, thetas, 0.0),
-                 True: _root_terms(self.roots, thetas, 1.0)}
-        self._terms = terms
-        self._passage = partial(_root_sum, terms)
         ratio = 1.0
         for beta in self.roots:
             ratio *= beta / (beta - 1.0)
-        for theta in thetas:
+        for theta in [-pole for pole in model.poles if pole < 0]:
             ratio *= (theta + 1.0) / theta
         self.slope_ratio = ratio
 
     @cached_property
-    def _powers(self) -> Optional[tuple]:
-        """Triples (wL_k, wG_k, beta_k), one per negative root, or None.
+    def _terms(self) -> tuple:
+        """Triples (wL_k, wG_k, beta_k), the weights divided by their sums;
+        built on first use, so ``threshold`` never pays for them."""
+        model = self.model
+        if not model.diffusive:
+            return ((1.0, 1.0, math.log(model.a / (self.r + model.a))),)
+        c_l, c_g = _root_weights(self.roots,
+                                 [-pole for pole in model.poles if pole < 0])
+        l_sum, g_sum = sum(c_l), sum(c_g)
+        return tuple([(l_k / l_sum, g_k / g_sum, beta) for l_k, g_k, beta
+                      in zip(c_l, c_g, self.roots)])
 
-        wL_k and wG_k are the L and G weights of root beta_k divided by their
-        sums, taken in the order ``_root_sum`` takes them.  Built on first
-        use, so ``threshold`` never pays for them; None for the counter.
-        """
-        if not self.model.diffusive:
-            return None
-        l_terms, g_terms = self._terms[False], self._terms[True]
-        l_sum = g_sum = 0.0
-        for (c_l, _), (c_g, _) in zip(l_terms, g_terms):
-            l_sum += c_l
-            g_sum += c_g
-        return tuple([(c_l / l_sum, c_g / g_sum, beta) for (c_l, _), (c_g, _),
-                      beta in zip(l_terms, g_terms, self.roots)])
-
-    def _eval(self, x: ArrayLike, want_joint: bool) -> ArrayLike:
+    def _eval(self, x: ArrayLike, s: int) -> ArrayLike:
+        """L (s = 0) or G (s = 1) from column s of ``_terms``."""
         import numpy as np
-        x_arr = np.minimum(np.asarray(x, dtype=float), 0.0)
-        out = self._passage(x_arr, want_joint)
+        depth = -np.minimum(np.asarray(x, dtype=float), 0.0)
+        if not self.model.diffusive:
+            depth = np.ceil(depth)  # the counter lands on the integers
+        terms = [(row[s], row[2] - s) for row in self._terms]
+        # Divided by the weights' float sum, its value at depth 0, so the
+        # transform is exactly 1 there.
+        out = _exp_sum(terms, depth, np.exp) / sum(w for w, _ in terms)
         return float(out) if np.ndim(x) == 0 else out
 
     def L(self, x: ArrayLike) -> ArrayLike:
         """E[exp(-r tau_x)] for the first passage of X to (-inf, x]."""
-        return self._eval(x, want_joint=False)
+        return self._eval(x, 0)
 
     def G(self, x: ArrayLike) -> ArrayLike:
         """E[exp(-r tau_x + X_{tau_x})], the transform weighted by overshoot."""
-        return self._eval(x, want_joint=True)
+        return self._eval(x, 1)
 
 
 def _checked_v(spec: ProblemSpec, v: ArrayLike) -> np.ndarray:
@@ -181,19 +171,14 @@ def _shortfall_past(spec: ProblemSpec, b: float, v_arr: np.ndarray,
     """
     import numpy as np
     lin, const = spec.alpha / (spec.r - spec.psi1), spec.c / spec.r
-    powers = transforms._powers
-    if powers is None:
-        # lin * v, which _checked_v bounds, not alpha * v, which it does not
-        x = np.minimum(math.log(b) - np.log(v_arr), 0.0)
-        return (-lin * v_arr * transforms._passage(x, True)
-                + const * transforms._passage(x, False))
     y = np.maximum(np.log(v_arr) - math.log(b), 0.0)
-    lin_b = lin * b
-    (w_l, w_g, beta), *rest = powers
-    out = (const * w_l - lin_b * w_g) * np.exp(beta * y)
-    for w_l, w_g, beta in rest:
-        out = out + (const * w_l - lin_b * w_g) * np.exp(beta * y)
-    return out
+    depth, lin_b = y, lin * b
+    if not transforms.model.diffusive:
+        # on the lattice the passage lands at V = b e^{y - depth} <= b
+        depth = np.ceil(y)
+        lin_b = lin_b * np.exp(y - depth)
+    return _exp_sum(((const * w_l - lin_b * w_g, beta)
+                     for w_l, w_g, beta in transforms._terms), depth, np.exp)
 
 
 def candidate_value(spec: ProblemSpec, b: float, v: ArrayLike,
@@ -205,11 +190,10 @@ def candidate_value(spec: ProblemSpec, b: float, v: ArrayLike,
     threshold engine maximises the full policy value by minimising g.
 
     For v <= b the passage is immediate and g is exactly
-    f(v) = -alpha v / (r - psi(1)) + c / r.  Past b the diffusive families
-    sum one power term (v / b)^{beta_k} per negative root (see the module
-    docstring), one exponential each; the counter evaluates L and G at
-    x = ln(b / v).  ``transforms`` are those of ``spec``.  A v whose
-    alpha v / (r - psi(1)) overflows raises ``ArithmeticError``.
+    f(v) = -alpha v / (r - psi(1)) + c / r.  Past b it sums one exponential
+    per root of the table of ``transforms`` (see the module docstring),
+    which are those of ``spec``.  A v whose alpha v / (r - psi(1))
+    overflows raises ``ArithmeticError``.
     """
     b = float(b)
     if not 0.0 < b < spec.b_upper:

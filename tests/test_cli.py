@@ -405,6 +405,20 @@ def test_value_at_the_float_range_edges(tmp_path, capsys):
                    for _, w in rows[1:]), model["family"]
 
 
+def test_mc_commands_check_v_before_drawing(tmp_path, capsys):
+    # alpha v / (r - psi(1)) overflows before any path is drawn: exit 3
+    # with no RuntimeWarning (an error here) from the simulated values.
+    path = write_spec(tmp_path, dict(BROWNIAN_SPEC, r=0.6, v=1.7e308))
+    for command, arg, value in (("simulate", "--b", "0.3"),
+                                ("sweep", "--grid", "0.1:0.5:3")):
+        assert main_exit_code(command, "--spec", path, arg, value,
+                              "--paths", "100") == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("numerical failure: alpha v / (r - psi(1)) overflows "
+                       "at v = 1.7e+308\n")
+
+
 def test_stdout_and_file_output_agree(tmp_path, spec_path):
     to_stdout = run_cli("threshold", "--spec", spec_path)
     out = tmp_path / "t.json"

@@ -173,13 +173,21 @@ def test_value_function_rejects_a_result_for_another_problem():
 
 
 def test_value_function_rejects_nonpositive_v():
+    # w, s and f check v alike: not positive or finite is an input error,
+    # and an overflowing alpha v / (r - psi(1)) (here 2 v) a numerical one.
     for spec in sample_specs():
         w = value_function(spec)
-        for v in (0.0, -1.0, np.array([1.0, 0.0]), np.array([-2.0]),
-                  np.nan, np.array([1.0, np.nan]), np.inf,
-                  np.array([1.0, np.inf])):
-            with pytest.raises(ValueError, match="v must be positive"):
-                w(v)
+        for fn in (w, w.s, w.f):
+            for v in (0.0, -1.0, np.array([1.0, 0.0]), np.array([-2.0]),
+                      np.nan, np.array([1.0, np.nan]), np.inf,
+                      np.array([1.0, np.inf])):
+                with pytest.raises(ValueError, match="v must be positive"):
+                    fn(v)
+    w = value_function(sample_specs()[0])
+    for fn in (w, w.s, w.f):
+        for v in (1.7e308, np.array([1.0, 1.7e308])):
+            with pytest.raises(ArithmeticError, match="overflows at v = 1.7e"):
+                fn(v)
 
 
 def test_one_root_solve_per_spec(monkeypatch):
@@ -316,15 +324,15 @@ def test_threshold_solves_the_report_roots_only_when_read(monkeypatch):
 
 
 def test_threshold_leaves_the_value_weights_unbuilt():
-    # The fused value-curve weights are built on the first value call, so
-    # threshold pays nothing for them.
+    # The one table of per-root weights is built on the first value call,
+    # so threshold pays nothing for it, on every family.
     for spec in sample_specs():
         res = threshold(spec)
-        assert "_powers" not in vars(res.transforms), spec.model.family
+        assert "_terms" not in vars(res.transforms), spec.model.family
         value_function(spec, res)(2.0 * res.b_c)
-        assert "_powers" in vars(res.transforms)
-        assert (res.transforms._powers is None) == (
-            spec.model.family == "neg_poisson")
+        assert "_terms" in vars(res.transforms)
+        assert len(res.transforms._terms) == max(len(res.transforms.roots),
+                                                 1)
 
 
 def test_threshold_result_equality_tells_models_apart():

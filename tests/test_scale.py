@@ -299,8 +299,8 @@ def test_spectneg_transforms_match_scale_function_identity():
 
 
 def test_arrays_and_scalars_agree_to_the_last_bit():
-    # The residues are summed root by root, as in transforms._root_sum, so
-    # an array argument gives each point the bits of its scalar call.
+    # The residues are summed root by root by transforms._exp_sum, so an
+    # array argument gives each point the bits of its scalar call.
     xs = np.concatenate(([-0.5], np.linspace(0.0, 10.0, 1001)))
     for model in (SpectNegKou(m=0.1, sigma=0.7, a=0.9, eta2=1.8),
                   BrownianDrift(m=0.3, sigma=0.8)):

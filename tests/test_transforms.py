@@ -113,9 +113,7 @@ def test_two_down_phases_match_simulation():
     r = 1.0
     ht = HittingTransforms(model, r)
     assert len(ht.roots) == 3
-    for s in (0.0, 1.0):
-        weights = [c for c, _ in transforms._root_terms(ht.roots,
-                                                        [1.5, 6.0], s)]
+    for weights in transforms._root_weights(ht.roots, [1.5, 6.0]):
         assert sum(weights) == pytest.approx(1.0, rel=1e-12)
     x = -1e-7
     assert ht.slope_ratio == pytest.approx(
@@ -244,8 +242,9 @@ FUSED_G_UNITS = 32.0
 def test_fused_value_matches_separate_transforms(family, m, sigma, a, p, eta1,
                                                  eta2, margin, alpha, c,
                                                  b_frac):
-    # The AC-1 fuzz ranges.  L and G keep their own route, which shares
-    # only the weights and roots with the fused sum.
+    # The AC-1 fuzz ranges.  L and G read the same per-root table as the
+    # fused sum, so this checks the fused coefficients and the change of
+    # variable, not the weights.
     model = {"brownian": lambda: BrownianDrift(m=m, sigma=sigma),
              "kou": lambda: KouJD(m=m, sigma=sigma, a=a, p=p, eta1=eta1,
                                   eta2=eta2),
@@ -271,3 +270,32 @@ def test_fused_value_matches_separate_transforms(family, m, sigma, a, p, eta1,
     stop = w.b_c * np.array([1e-300, 1e-9, 0.5, 1.0])
     assert np.all(w(stop) == 0.0)
     assert all(w(float(v)) == 0.0 for v in stop)
+
+
+# The counter's g against its lattice formula, in the units above.  Over
+# two sets of 2000 fuzzed specs, each at B_c and a random b, the worst error
+# was 0.91 units (0.83 when g took L and G as powers of gamma apart).
+COUNTER_G_UNITS = 4.0
+
+
+@given(st.floats(0.1, 5.0), st.floats(0.15, 2.5), st.floats(0.2, 3.0),
+       st.floats(0.2, 3.0), st.floats(0.01, 0.99), st.floats(0.05, 0.95))
+@settings(max_examples=40, deadline=None)
+def test_counter_value_matches_lattice_formula(a, margin, alpha, c, b_frac,
+                                               frac):
+    # g = c/r gamma^n - alpha v / (r - psi(1)) (gamma / e)^n with
+    # gamma = a / (r + a) and n = ceil(ln(v / b)) unit jumps to pass below
+    # b.  ln(v / b) stays a fraction ``frac`` past each integer, away from
+    # the steps of the ceiling, for v / b from 1 to 1e300.
+    model = NegPoisson(a=a)
+    r = max(psi(model, 1.0), 0.0) + margin
+    spec = ProblemSpec(model=model, r=r, alpha=alpha, c=c, v=1.0)
+    w = value_function(spec)
+    lin, gamma = alpha / (r - spec.psi1), a / (r + a)
+    for b in (w.b_c, b_frac * spec.b_upper):
+        vs = b * np.concatenate(([1.0, 1e300], np.exp(np.arange(690) + frac)))
+        n = np.ceil(np.log(vs / b))
+        lattice = c / r * gamma ** n - lin * vs * (gamma / math.e) ** n
+        units = np.finfo(float).eps * (c / r + lin * vs)
+        g = candidate_value(spec, b, vs, w.result.transforms)
+        assert np.max(np.abs(g - lattice) / units) < COUNTER_G_UNITS
