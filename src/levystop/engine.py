@@ -148,7 +148,7 @@ class ValueFunction:
     def f(self, v: ArrayLike) -> ArrayLike:
         spec = self.spec
         v_arr = _checked_v(spec, v)
-        out = -spec.alpha * v_arr / (spec.r - spec.psi1) + spec.c / spec.r
+        out = -(spec.alpha / (spec.r - spec.psi1)) * v_arr + spec.c / spec.r
         return float(out) if v_arr.ndim == 0 else out
 
     def s(self, v: ArrayLike) -> ArrayLike:

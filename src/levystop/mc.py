@@ -337,8 +337,7 @@ def _event_batch(dyn: _Dynamics, r_disc: float, levels: np.ndarray,
         w = min(max(_BLOCK_EVENTS // k, 1), _BLOCK_MAX) if rate > 0 else 1
         if rate > 0:
             ends = rng.standard_exponential((k, w)) / rate
-            if w > 1:
-                np.cumsum(ends, axis=1, out=ends)
+            np.cumsum(ends, axis=1, out=ends)
             np.minimum(ends + t[:, None], horizon, out=ends)
             event = ends < horizon
         else:
@@ -355,8 +354,7 @@ def _event_batch(dyn: _Dynamics, r_disc: float, levels: np.ndarray,
         if dyn.a > 0:
             at = np.flatnonzero(event & ~is_mark)
             land.ravel()[at] += _draw_jumps(dyn, rng, at.size)
-        if w > 1:
-            np.cumsum(land, axis=1, out=land)
+        np.cumsum(land, axis=1, out=land)
         land += x[:, None]
         seg_start = np.concatenate((x[:, None], land[:, :-1]), axis=1)
         seg_end = seg_start + steps if dyn.a > 0 else land
@@ -378,9 +376,8 @@ def _event_batch(dyn: _Dynamics, r_disc: float, levels: np.ndarray,
             if not pos.size:
                 break
             row = pos // w
-            if w > 1:
-                pos = pos[np.concatenate(([True], row[1:] != row[:-1]))]
-                row = pos // w
+            pos = pos[np.concatenate(([True], row[1:] != row[:-1]))]
+            row = pos // w
             col = pos % w
             lanes = row if first is None else sub[row]
             flat = pos if first is None else lanes * w + col
@@ -492,8 +489,6 @@ def _simulate_levels(dyn: _Dynamics, r_disc: float, levels: Sequence[float],
         raise ValueError("levels must be a non-empty 1-d sequence")
     if np.isnan(levels_arr).any():
         raise ValueError("passage levels must not be NaN")
-    if dyn.sigma == 0 and not dyn.unit:
-        raise ValueError("pure-drift dynamics are not supported")
 
     n = cfg.n_paths
     shape = (levels_arr.size, n)
@@ -594,7 +589,8 @@ def policy_value(spec: ProblemSpec, b: float, cfg: SimConfig) -> PolicyValue:
 
     b >= v needs no branch: its level is passed at time 0, so both are 0.
     A v whose alpha v / (r - psi(1)) overflows raises ``ArithmeticError``
-    before any path is drawn.
+    before any path is drawn, and a value or SE that overflows after the
+    draws raises ``FloatingPointError``, an ``ArithmeticError`` too.
     """
     if b <= 0:
         raise ValueError("b must be positive")
@@ -604,13 +600,14 @@ def policy_value(spec: ProblemSpec, b: float, cfg: SimConfig) -> PolicyValue:
     # log(b) - log(v), not log(b / v), which underflows for a tiny b.
     record = _simulate_levels(dyn, spec.r, [math.log(b) - math.log(spec.v)],
                               horizon, cfg, want_integral=True)
-    stopped = _stopped_values(spec, record)[0]
-    direct = (spec.alpha * spec.v * record.final_int
-              - spec.c * (1.0 - np.exp(-spec.r * record.tau[0])) / spec.r)
     missed = record.missed()[0]
-    values = np.stack([direct, stopped, direct - stopped])
-    direct_est, stopped_est, diff = _estimates(
-        values.__getitem__, values.shape, [missed, missed, 0.0])
+    with np.errstate(over="raise", invalid="raise"):
+        stopped = _stopped_values(spec, record)[0]
+        direct = (spec.alpha * spec.v * record.final_int
+                  - spec.c * (1.0 - np.exp(-spec.r * record.tau[0])) / spec.r)
+        values = np.stack([direct, stopped, direct - stopped])
+        direct_est, stopped_est, diff = _estimates(
+            values.__getitem__, values.shape, [missed, missed, 0.0])
     return PolicyValue(b=b, direct=direct_est, stopped=stopped_est,
                        diff_mean=diff.mean, diff_se=diff.std_error)
 
@@ -644,7 +641,8 @@ def sweep(spec: ProblemSpec, b_grid: Sequence[float],
 
     b >= v needs no mask: its level is passed at time 0, so its row is 0.
     A v whose alpha v / (r - psi(1)) overflows raises ``ArithmeticError``
-    before any path is drawn.
+    before any path is drawn, and a value or SE that overflows after the
+    draws raises ``FloatingPointError``, an ``ArithmeticError`` too.
     """
     grid = _ladder(b_grid, "b_grid", "b", "ascending")
     _checked_v(spec, spec.v)
@@ -654,12 +652,14 @@ def sweep(spec: ProblemSpec, b_grid: Sequence[float],
         levels = np.log(grid / spec.v)
     record = _simulate_levels(dyn, spec.r, levels, horizon, cfg,
                               want_integral=False)
-    values = _stopped_values(spec, record)
-    estimates = _estimates(values.__getitem__, values.shape, record.missed())
-    means = np.array([e.mean for e in estimates])
-    arg = int(np.argmax(means))
-    paired = _estimates(lambda rows: values[arg] - values[rows], values.shape,
-                        [0.0] * grid.size)
+    with np.errstate(over="raise", invalid="raise"):
+        values = _stopped_values(spec, record)
+        estimates = _estimates(values.__getitem__, values.shape,
+                               record.missed())
+        means = np.array([e.mean for e in estimates])
+        arg = int(np.argmax(means))
+        paired = _estimates(lambda rows: values[arg] - values[rows],
+                            values.shape, [0.0] * grid.size)
     flat = (means[arg] - means) <= np.array([e.std_error for e in paired])
     return SweepResult(b_grid=grid, estimates=estimates, argmax_index=arg,
                        argmax_b=float(grid[arg]), flat=flat, values=values)

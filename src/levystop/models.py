@@ -16,8 +16,9 @@ diffusion plus jumps from a mixture of exponential phases.
 
 The Laplace exponent ``psi`` satisfies E[exp(lam X_t)] = exp(t psi(lam)).
 Each class is the one definition of its family that every other module
-reads: ``exponent``/``exponent_prime`` (psi and psi' for real, array or
-complex arguments, continued through the poles with no domain checks),
+reads: ``exponent`` (psi for real, array or complex arguments, continued
+through the poles with no domain checks; the diffusive families also give
+psi' as ``exponent_prime`` for the root solves and scale functions),
 ``poles`` (ascending: -eta2 for downward jumps, eta1 for upward ones),
 ``diffusive`` (has a Brownian part), ``phases`` (the jump-size law the
 simulator draws; the counter has none) and ``class_d_note``.
@@ -210,10 +211,6 @@ class NegPoisson:
         import numpy as np
         return self.a * (np.exp(-z) - 1.0)
 
-    def exponent_prime(self, z):
-        import numpy as np
-        return -self.a * np.exp(-z)
-
 
 @dataclass(frozen=True)
 class SpectNegKou(PhaseJumpDiffusion):
@@ -380,28 +377,31 @@ class ProblemSpec:
         return self.c * (self.r - self.psi1) / (self.r * self.alpha)
 
 
-def _finite_floats(doc: dict, keys) -> dict:
-    """Each ``doc[key]`` as a float; only a finite JSON number is served."""
+def _finite_floats(doc: dict, what: str, keys, others) -> dict:
+    """Each ``doc[key]`` as a finite float, from a ``doc`` (``what`` in
+    errors) that holds the keys of ``others`` and ``keys`` and no more."""
+    for key in others + keys:
+        if key not in doc:
+            raise ValueError(f"{what} requires field {key!r}")
+    if len(doc) != len(keys) + len(others):
+        extra = set(doc).difference(keys, others)
+        raise ValueError(f"unexpected keys for {what}: {sorted(extra)}")
     values = {}
     for key in keys:
         value = doc[key]
         if type(value) is not float:
-            value = _number(key, value)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"field {key!r} must be a number, "
+                                 f"got {value!r}")
+            try:
+                value = float(value)
+            except OverflowError:  # an integer beyond the float range
+                value = math.inf
         if not math.isfinite(value):
             raise ValueError(f"field {key!r} must be a finite number, "
                              f"got {value}")
         values[key] = value
     return values
-
-
-def _number(key: str, raw) -> float:
-    """``raw`` as a float, unless it is a boolean or not a number at all."""
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ValueError(f"field {key!r} must be a number, got {raw!r}")
-    try:
-        return float(raw)
-    except OverflowError:  # an integer beyond the float range
-        return math.inf
 
 
 def model_from_dict(doc: dict) -> LevyModel:
@@ -416,14 +416,8 @@ def model_from_dict(doc: dict) -> LevyModel:
     except KeyError:
         known = ", ".join(sorted(_FAMILIES))
         raise ValueError(f"unknown family {family!r}; expected one of {known}")
-    extra = set(doc).difference(names, ("family",))
-    if extra:
-        raise ValueError(f"unexpected keys for family {family!r}: "
-                         f"{sorted(extra)}")
-    for name in names:
-        if name not in doc:
-            raise ValueError(f"family {family!r} requires field {name!r}")
-    return cls(**_finite_floats(doc, names))
+    return cls(**_finite_floats(doc, f"family {family!r}", names,
+                                ("family",)))
 
 
 _SPEC_FIELDS = ("r", "alpha", "c", "v")
@@ -437,11 +431,9 @@ def spec_from_dict(doc: dict) -> ProblemSpec:
     """Build a problem from ``{"model": {...}, "r":, "alpha":, "c":, "v":}``."""
     if not isinstance(doc, dict):
         raise ValueError("problem document must be a JSON object")
-    for key in ("model",) + _SPEC_FIELDS:
-        if key not in doc:
-            raise ValueError(f"problem document is missing {key!r}")
-    return ProblemSpec(model=model_from_dict(doc["model"]),
-                       **_finite_floats(doc, _SPEC_FIELDS))
+    values = _finite_floats(doc, "the problem document", _SPEC_FIELDS,
+                            ("model",))
+    return ProblemSpec(model=model_from_dict(doc["model"]), **values)
 
 
 def spec_to_dict(spec: ProblemSpec) -> dict:

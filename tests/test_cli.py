@@ -340,7 +340,9 @@ def test_input_errors_exit_1(tmp_path, spec_path, capsys):
             ("v", dict(BROWNIAN_SPEC, v=10**400)),
             ("sigma", dict(BROWNIAN_SPEC, model=dict(brownian, sigma=True))),
             ("r", dict(BROWNIAN_SPEC, r="1.5")),
-            ("c", dict(BROWNIAN_SPEC, c=" 2 "))):
+            ("c", dict(BROWNIAN_SPEC, c=" 2 ")),
+            # A problem document holds the model and four fields, no more.
+            ("seed", dict(BROWNIAN_SPEC, seed=5))):
         path = write_spec(tmp_path, doc, "nonfinite.json")
         assert main_exit_code("threshold", "--spec", path) == 1
         assert repr(field) in capsys.readouterr().err
@@ -417,6 +419,21 @@ def test_mc_commands_check_v_before_drawing(tmp_path, capsys):
         assert out == ""
         assert err == ("numerical failure: alpha v / (r - psi(1)) overflows "
                        "at v = 1.7e+308\n")
+    # alpha v / (r - psi(1)) is a float, but the policy values (alpha v
+    # itself) or np.std's squares of them overflow after the draws.
+    counter = write_spec(tmp_path, dict(
+        BROWNIAN_SPEC, model={"family": "neg_poisson", "a": 1.0}, r=5.0,
+        alpha=3.0, v=1e308), "counter.json")
+    brownian = write_spec(tmp_path, dict(BROWNIAN_SPEC, v=1e160), "bm.json")
+    for path, command, arg, value, paths in (
+            (counter, "simulate", "--b", "0.1", "100"),
+            (counter, "sweep", "--grid", "0.05:0.1:2", "100"),
+            (brownian, "simulate", "--b", "0.3", "1000")):
+        assert main_exit_code(command, "--spec", path, arg, value,
+                              "--paths", paths) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numerical failure: overflow")
 
 
 def test_stdout_and_file_output_agree(tmp_path, spec_path):

@@ -188,6 +188,11 @@ def test_value_function_rejects_nonpositive_v():
         for v in (1.7e308, np.array([1.0, 1.7e308])):
             with pytest.raises(ArithmeticError, match="overflows at v = 1.7e"):
                 fn(v)
+    # Where alpha / (r - psi(1)) * v is a float, f is too, though alpha v
+    # overflows (alpha 3, v 1e308): f multiplies in the order w checks.
+    for model in (NegPoisson(a=1.0), BrownianDrift(m=0.0, sigma=1.0)):
+        spec = ProblemSpec(model=model, r=5.0, alpha=3.0, c=1.0, v=1.0)
+        assert math.isfinite(value_function(spec).f(1e308))
 
 
 def test_one_root_solve_per_spec(monkeypatch):

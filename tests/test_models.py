@@ -265,6 +265,13 @@ def test_model_from_dict_rejects_bad_documents():
     with pytest.raises(ValueError, match="unexpected"):
         model_from_dict({"family": "brownian", "m": 0.0, "sigma": 1.0,
                          "nu": 3.0})
+    # The problem document is read by the same checks as the model's.
+    brownian = {"family": "brownian", "m": 0.0, "sigma": 1.0}
+    with pytest.raises(ValueError, match="requires field 'c'"):
+        spec_from_dict({"model": brownian, "r": 1.0, "alpha": 1.0, "v": 1.0})
+    with pytest.raises(ValueError, match="unexpected keys for family"):
+        spec_from_dict({"model": dict(brownian, nu=3.0), "r": 1.0,
+                        "alpha": 1.0, "c": 1.0, "v": 1.0})
 
 
 def test_spec_dict_round_trip():
